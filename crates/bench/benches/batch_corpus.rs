@@ -1,10 +1,7 @@
-//! Corpus-scale streaming batch: cold vs warm vs in-memory throughput.
+//! Corpus-scale streaming batch: cold vs warm throughput.
 //!
-//! Four series over one on-disk purchase-order corpus:
+//! Three series over one on-disk purchase-order corpus:
 //!
-//! * `in_memory_batch` — the pre-existing materialize-then-validate path
-//!   ([`BatchEngine::validate_xml`] over a `Vec<String>`), the baseline
-//!   the streaming pipeline must not lose to.
 //! * `cold_stream_no_cache` — the bounded-memory corpus pipeline: paths
 //!   streamed through the queue, documents mmap'd, every file validated.
 //! * `warm_all_hits` — the same corpus with a fully populated verdict
@@ -55,15 +52,8 @@ fn bench(c: &mut Criterion) {
     let corpus = CorpusSource::Dir(dir.clone());
     let opts = CorpusOptions::default();
 
-    let texts: Vec<String> = (0..DOCS)
-        .map(|i| std::fs::read_to_string(dir.join(doc_name(i))).expect("read doc"))
-        .collect();
-
     let mut group = c.benchmark_group("batch_corpus");
     group.throughput(Throughput::Elements(DOCS as u64));
-    group.bench_function("in_memory_batch", |b| {
-        b.iter(|| black_box(engine.validate_xml(&texts, &session.alphabet)))
-    });
     group.bench_function("cold_stream_no_cache", |b| {
         b.iter(|| {
             black_box(
@@ -80,13 +70,17 @@ fn bench(c: &mut Criterion) {
         .validate_corpus(&corpus, &session.alphabet, Some(&mut cache), &opts)
         .expect("populate");
     assert_eq!(populate.cache_misses, DOCS);
+    let check = engine
+        .validate_corpus(&corpus, &session.alphabet, Some(&mut cache), &opts)
+        .expect("warm run");
+    assert_eq!(check.cache_hits, DOCS);
     group.bench_function("warm_all_hits", |b| {
         b.iter(|| {
-            let report = engine
-                .validate_corpus(&corpus, &session.alphabet, Some(&mut cache), &opts)
-                .expect("warm run");
-            debug_assert_eq!(report.cache_hits, DOCS);
-            black_box(report)
+            black_box(
+                engine
+                    .validate_corpus(&corpus, &session.alphabet, Some(&mut cache), &opts)
+                    .expect("warm run"),
+            )
         })
     });
 
@@ -100,15 +94,15 @@ fn bench(c: &mut Criterion) {
         std::fs::write(dir.join(doc_name(i)), format!("{xml}<!-- edited {i} -->"))
             .expect("rewrite doc");
     }
+    let incremental = || {
+        let mut cache = VerdictCache::load(&cache_path, fp, 0);
+        engine
+            .validate_corpus(&corpus, &session.alphabet, Some(&mut cache), &opts)
+            .expect("incremental run")
+    };
+    assert_eq!(incremental().cache_misses, EDITED);
     group.bench_function("warm_after_1pct_edits", |b| {
-        b.iter(|| {
-            let mut cache = VerdictCache::load(&cache_path, fp, 0);
-            let report = engine
-                .validate_corpus(&corpus, &session.alphabet, Some(&mut cache), &opts)
-                .expect("incremental run");
-            debug_assert_eq!(report.cache_misses, EDITED);
-            black_box(report)
-        })
+        b.iter(|| black_box(incremental()))
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

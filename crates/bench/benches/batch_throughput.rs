@@ -2,23 +2,22 @@
 //!
 //! Two workloads:
 //!
-//! * **Plain batch** — the paper's Experiment 1 shape: a stream of
-//!   purchase-order documents, each valid for the Figure 1a source schema
-//!   (`billTo` optional), revalidated against the Figure 2 target
-//!   (`billTo` required) through one shared [`CastContext`]. On multicore
-//!   hardware the 4-thread run should exceed 2x the 1-thread run.
+//! * **Plain batch** — the paper's Experiment 1 shape: an on-disk corpus
+//!   of purchase-order documents, each valid for the Figure 1a source
+//!   schema (`billTo` optional), revalidated against the Figure 2 target
+//!   (`billTo` required) through one shared [`CastContext`] by the corpus
+//!   pipeline. On multicore hardware the 4-thread run should exceed 2x
+//!   the 1-thread run.
 //! * **Edit-heavy batch** — every document arrives with an edit script
 //!   (note inserts/deletes under a feed-style `(entry | note)*` model,
-//!   all statically decidable), measured with the static update-safety
-//!   fast path on and off. The `static_fastpath` series should beat
-//!   `dynamic_only`, since decided scripts never apply their edits or
-//!   run the Δ-revalidation walk over edited regions.
+//!   all statically decidable), so no item applies its edits or runs the
+//!   Δ-revalidation walk.
 //!
 //! Throughput is reported in documents per second.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use schemacast_core::CastContext;
-use schemacast_engine::{default_workers, BatchEngine};
+use schemacast_engine::{default_workers, BatchEngine, CorpusOptions, CorpusSource};
 use schemacast_regex::Alphabet;
 use schemacast_schema::{AbstractSchema, SchemaBuilder, Session, SimpleType};
 use schemacast_tree::{Doc, Edit};
@@ -86,12 +85,15 @@ fn bench(c: &mut Criterion) {
     let mut session = Session::new();
     let source = session.parse_xsd(&po::source_xsd()).expect("source schema");
     let target = session.parse_xsd(&po::target_xsd()).expect("target schema");
-    let docs: Vec<_> = (0..BATCH)
-        .map(|i| po::generate_document(&mut session.alphabet, ITEMS_PER_DOC, i % 3 != 0))
-        .collect();
-    let texts: Vec<_> = (0..BATCH)
-        .map(|_| po::document_xml(&mut session.alphabet, ITEMS_PER_DOC))
-        .collect();
+    let dir = std::env::temp_dir().join(format!("schemacast-bench-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("corpus dir");
+    for i in 0..BATCH {
+        let doc = po::generate_document(&mut session.alphabet, ITEMS_PER_DOC, i % 3 != 0);
+        let xml = schemacast_xml::to_string(&doc.to_xml(&session.alphabet));
+        std::fs::write(dir.join(format!("doc{i:05}.xml")), xml).expect("write doc");
+    }
+    let corpus = CorpusSource::Dir(dir.clone());
     let ctx = CastContext::new(&source, &target, &session.alphabet);
     // Pay the one-off product-IDA construction outside the timed region.
     BatchEngine::new(&ctx).warm_up();
@@ -100,27 +102,28 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(BATCH as u64));
     for workers in thread_counts() {
         let engine = BatchEngine::with_workers(&ctx, workers);
-        group.bench_with_input(BenchmarkId::new("tree_docs", workers), &docs, |b, docs| {
-            b.iter(|| black_box(engine.validate_docs(docs)))
+        group.bench_with_input(BenchmarkId::new("corpus", workers), &corpus, |b, corpus| {
+            b.iter(|| {
+                black_box(
+                    engine
+                        .validate_corpus(corpus, &session.alphabet, None, &CorpusOptions::default())
+                        .expect("corpus run"),
+                )
+            })
         });
-        group.bench_with_input(
-            BenchmarkId::new("streaming_xml", workers),
-            &texts,
-            |b, texts| b.iter(|| black_box(engine.validate_xml(texts, &session.alphabet))),
-        );
     }
     group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // Edit-heavy workload: same engine, but every item carries an edit
-    // script the static analyzer fully decides. The fast path's win is the
-    // skipped edit application + Δ-revalidation, visible as docs/sec.
+    // Edit-heavy workload: every item carries an edit script the static
+    // analyzer fully decides.
     let mut ab = Alphabet::new();
     let feed_source = feed_schema(&mut ab);
     let feed_target = feed_schema(&mut ab);
     let edited = edited_batch(&mut ab, BATCH, ITEMS_PER_DOC);
     let feed_ctx = CastContext::new(&feed_source, &feed_target, &ab);
     BatchEngine::new(&feed_ctx).warm_up();
-    // The comparison is meaningless if the analyzer doesn't actually decide
+    // The workload is meaningless if the analyzer doesn't actually decide
     // the scripts — pin that before timing anything.
     let probe = BatchEngine::new(&feed_ctx).validate_edited(&edited);
     assert_eq!(
@@ -132,17 +135,11 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_throughput_edited");
     group.throughput(Throughput::Elements(BATCH as u64));
     for workers in thread_counts() {
-        let fast = BatchEngine::with_workers(&feed_ctx, workers);
+        let engine = BatchEngine::with_workers(&feed_ctx, workers);
         group.bench_with_input(
             BenchmarkId::new("static_fastpath", workers),
             &edited,
-            |b, items| b.iter(|| black_box(fast.validate_edited(items))),
-        );
-        let slow = BatchEngine::with_workers(&feed_ctx, workers).with_static_fastpath(false);
-        group.bench_with_input(
-            BenchmarkId::new("dynamic_only", workers),
-            &edited,
-            |b, items| b.iter(|| black_box(slow.validate_edited(items))),
+            |b, items| b.iter(|| black_box(engine.validate_edited(items))),
         );
     }
     group.finish();

@@ -70,6 +70,20 @@ pub struct ValidationStats {
     pub cert_check_micros: usize,
 }
 
+impl ValidationStats {
+    /// A copy with the wall-clock counters ([`Self::index_build_micros`],
+    /// [`Self::cert_check_micros`]) zeroed. What remains is a function of
+    /// the input alone, so it is what determinism checks compare and what
+    /// the verdict cache records.
+    pub fn without_clocks(self) -> ValidationStats {
+        ValidationStats {
+            index_build_micros: 0,
+            cert_check_micros: 0,
+            ..self
+        }
+    }
+}
+
 impl AddAssign for ValidationStats {
     fn add_assign(&mut self, rhs: ValidationStats) {
         self.nodes_visited += rhs.nodes_visited;

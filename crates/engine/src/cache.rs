@@ -23,7 +23,8 @@
 //! **What is cached.** Content-derived verdicts only: valid, invalid,
 //! and malformed (including invalid UTF-8), each with the item's
 //! [`ValidationStats`] so warm runs replay the same per-item report
-//! (wall-clock counters zeroed — they are not content-derived).
+//! ([`ValidationStats::without_clocks`]: wall-clock counters are not
+//! content-derived).
 //! [`ItemOutcome::ReadFailed`] is transient I/O and is never recorded.
 
 use crate::report::ItemOutcome;
@@ -150,13 +151,10 @@ impl CacheEntry {
             | ItemOutcome::EditFailed(_)
             | ItemOutcome::ChainBroken { .. } => return None,
         };
-        let mut stats = stats;
-        stats.index_build_micros = 0;
-        stats.cert_check_micros = 0;
         Some(CacheEntry {
             kind,
             message,
-            stats,
+            stats: stats.without_clocks(),
         })
     }
 

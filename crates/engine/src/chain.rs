@@ -2,25 +2,21 @@
 //!
 //! [`ChainEngine`] is the chain-level sibling of
 //! [`BatchEngine`](crate::BatchEngine): it borrows a preprocessed
-//! [`SchemaChain`] and fans documents (or whole migration scripts) across
-//! the same scoped worker pool.
-//!
-//! * [`ChainEngine::validate_docs`] is the one-pass path: each
-//!   `v_1`-document gets its `v_N` verdict from the chain's *endpoint*
-//!   context — a single cast exploiting the chain-level subsumption skips
-//!   and disjointness rejects, never one revalidation per hop.
-//! * [`ChainEngine::validate_migrations`] verifies one migration script
-//!   (an edit batch per hop) per item, preferring the per-hop static
-//!   fast path; a script that fails mid-chain comes back as
-//!   [`ItemOutcome::ChainBroken`] naming the breaking hop.
+//! [`SchemaChain`] and fans whole migration scripts across the same scoped
+//! worker pool. [`ChainEngine::validate_migrations`] verifies one
+//! migration script (an edit batch per hop) per item, preferring the
+//! per-hop static fast path; a script that fails mid-chain comes back as
+//! [`ItemOutcome::ChainBroken`] naming the breaking hop. One-pass
+//! `(v_1, v_N)` document verdicts need no chain engine: run
+//! [`BatchEngine::validate_corpus`](crate::BatchEngine::validate_corpus)
+//! over the chain's [`endpoint`](SchemaChain::endpoint) context.
 
-use crate::{default_workers, pool, BatchEngine, BatchReport, ItemOutcome, ItemReport};
+use crate::{default_workers, run_batch, BatchEngine, BatchReport, ItemOutcome, ItemReport};
 use schemacast_core::chain::{certify_chain, ChainCertificationRun, HopVerdict, SchemaChain};
 use schemacast_core::ValidationStats;
 use schemacast_tree::{Doc, Edit};
 use std::borrow::Borrow;
 use std::num::NonZeroUsize;
-use std::time::Instant;
 
 /// A batch engine over one preprocessed schema-evolution chain.
 pub struct ChainEngine<'c, 's> {
@@ -53,7 +49,8 @@ impl<'c, 's> ChainEngine<'c, 's> {
     }
 
     /// Warms the endpoint pair's product-IDA cache in parallel (the cache
-    /// the one-pass path hits). Returns the number of IDAs materialized.
+    /// a one-pass endpoint run hits). Returns the number of IDAs
+    /// materialized.
     pub fn warm_up(&self) -> usize {
         BatchEngine::with_workers(self.chain.endpoint(), self.workers.get()).warm_up()
     }
@@ -62,15 +59,6 @@ impl<'c, 's> ChainEngine<'c, 's> {
     /// and the composition certificates — via the independent checker.
     pub fn certify(&self) -> ChainCertificationRun {
         certify_chain(self.chain)
-    }
-
-    /// One-pass chain revalidation of a batch of `v_1`-documents: each
-    /// verdict is against `v_N`, computed by the endpoint cast alone.
-    pub fn validate_docs<D>(&self, docs: &[D]) -> BatchReport
-    where
-        D: Borrow<Doc> + Sync,
-    {
-        BatchEngine::with_workers(self.chain.endpoint(), self.workers.get()).validate_docs(docs)
     }
 
     /// Verifies a batch of migration scripts: each item is a `v_1`-valid
@@ -88,8 +76,7 @@ impl<'c, 's> ChainEngine<'c, 's> {
     where
         D: Borrow<Doc> + Sync,
     {
-        let started = Instant::now();
-        let reports = pool::collect_indexed(self.workers.get(), items.len(), |i| {
+        run_batch(self.workers.get(), items.len(), |i| {
             let (doc, scripts) = &items[i];
             let report = self.chain.verify_script(doc.borrow(), scripts);
             let mut stats = ValidationStats::default();
@@ -103,8 +90,7 @@ impl<'c, 's> ChainEngine<'c, 's> {
                     _ => ItemOutcome::ChainBroken { hop },
                 },
             };
-            ItemReport { outcome, stats }
-        });
-        BatchReport::from_items(reports, self.workers.get(), started.elapsed())
+            ItemReport::new(outcome, stats)
+        })
     }
 }

@@ -1,25 +1,22 @@
-//! Corpus-scale streaming revalidation: bounded-memory pipeline over a
-//! directory tree or manifest, with optional verdict caching.
+//! Corpus-scale streaming revalidation: the one document-batch pipeline,
+//! bounded-memory, over a directory tree, a manifest, or a path list, with
+//! optional verdict caching.
 //!
-//! The in-memory batch paths ([`BatchEngine::validate_xml`] and friends)
-//! assume the caller already holds every document; at corpus scale that
-//! is exactly the wrong shape. This module walks the input *lazily* —
-//! paths flow from one producer thread through a bounded queue to the
-//! worker pool, so at any instant the process holds at most
-//! `queue_capacity` pending paths plus one memory-mapped document per
-//! worker. Memory is O(workers), never O(corpus), regardless of how many
-//! files the tree holds.
+//! The input is walked *lazily* — paths flow from one producer thread
+//! through a bounded queue to the worker pool, so at any instant the
+//! process holds at most `QUEUE_SLOTS_PER_WORKER × workers` pending
+//! paths plus one document per worker. Memory is O(workers), never
+//! O(corpus), regardless of how many files the tree holds.
 //!
 //! Large documents are memory-mapped ([`mmapio::Mmap`]) and streamed
 //! through the zero-copy tape validator straight off the mapping; small
-//! ones (below [`CorpusOptions::mmap_threshold`]) go through a reused
-//! per-worker read buffer instead, which beats the map/unmap syscall
-//! pair at that size. Either way a corpus run never materializes a list
-//! of document bodies. With a
-//! [`VerdictCache`], each document's content hash is looked up before
-//! parsing: hits replay the recorded verdict and stats without touching
-//! the validator, so a warm re-run after editing k of n files validates
-//! exactly k documents.
+//! ones (below `MMAP_THRESHOLD`) go through a reused per-worker read
+//! buffer instead, which beats the map/unmap syscall pair at that size.
+//! Either way a corpus run never materializes a list of document bodies.
+//! With a [`VerdictCache`], each document's content hash is looked up
+//! before parsing: hits replay the recorded verdict and stats without
+//! touching the validator, so a warm re-run after editing k of n files
+//! validates exactly k documents.
 //!
 //! Reports are deterministic: items come back in *input order* — sorted
 //! walk order for [`CorpusSource::Dir`], line order for
@@ -27,18 +24,32 @@
 //! whatever the worker count or scheduling.
 
 use crate::cache::{content_hash, CacheEntry, VerdictCache};
-use crate::report::ItemOutcome;
+use crate::report::{BatchReport, ItemOutcome, ItemReport};
 use crate::BatchEngine;
 use loomlite::sync::mpsc::SyncSender;
 use loomlite::sync::Mutex;
 use loomlite::thread;
 use mmapio::Mmap;
-use schemacast_core::ValidationStats;
+use schemacast_core::{StreamScratch, StreamingCast, ValidationStats};
 use schemacast_regex::Alphabet;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Producer→worker queue slots per worker. This bounds how far the walker
+/// can run ahead of the validators — the corpus-scale memory ceiling.
+/// Slots hold only a path, so a deep queue is still small; depth matters
+/// because every producer/worker handoff on a saturated queue is a context
+/// switch, and a few hundred paths of slack amortizes that to noise.
+const QUEUE_SLOTS_PER_WORKER: usize = 64;
+
+/// Files smaller than this many bytes are read into a reused per-worker
+/// buffer instead of mapped: for small documents the map/unmap syscall
+/// pair and page-table churn cost more than one buffered read, and the
+/// warm-cache path is dominated by exactly that fixed per-file cost.
+/// Larger files map zero-copy; a failed mapping falls back to a read.
+const MMAP_THRESHOLD: u64 = 256 * 1024;
 
 /// Where a corpus comes from.
 #[derive(Debug, Clone)]
@@ -55,205 +66,19 @@ pub enum CorpusSource {
     Paths(Vec<PathBuf>),
 }
 
-/// Tuning knobs for a corpus run.
-#[derive(Debug, Clone)]
-pub struct CorpusOptions {
-    /// Capacity of the producer→worker path queue; `0` means
-    /// `64 × workers`. This bounds how far the walker can run ahead of
-    /// the validators — the corpus-scale memory ceiling. Slots hold only
-    /// a path, so a deep queue is still small; depth matters because
-    /// every producer/worker handoff on a saturated queue is a context
-    /// switch, and a few hundred paths of slack amortizes that to noise.
-    pub queue_capacity: usize,
-    /// Memory-map documents instead of reading them (on by default).
-    /// Mapping failures fall back to buffered reads per file either way;
-    /// this knob exists for benchmarking the difference.
-    pub use_mmap: bool,
-    /// Files smaller than this many bytes are read into a reused
-    /// per-worker buffer even when `use_mmap` is on: for small documents
-    /// the map/unmap syscall pair and page-table churn cost more than
-    /// one buffered read, and the warm-cache path is dominated by
-    /// exactly that fixed per-file cost. Larger files still map
-    /// zero-copy. `0` maps everything.
-    pub mmap_threshold: u64,
-}
-
-impl Default for CorpusOptions {
-    fn default() -> CorpusOptions {
-        CorpusOptions {
-            queue_capacity: 0,
-            use_mmap: true,
-            mmap_threshold: 256 * 1024,
-        }
-    }
-}
-
-/// The verdict for one corpus file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorpusItem {
-    /// The file's path as walked (manifest-relative paths are resolved).
-    pub path: PathBuf,
-    /// The verdict.
-    pub outcome: ItemOutcome,
-    /// Per-item validator counters (replayed from the cache on a hit).
-    pub stats: ValidationStats,
-    /// Whether the verdict came from the cache.
-    pub cached: bool,
-    /// Document size in bytes (0 if the file could not be read).
-    pub bytes: u64,
-    /// Whether the document bytes came from an actual memory mapping.
-    pub mapped: bool,
-}
-
-/// The result of one corpus run.
-#[derive(Debug, Clone)]
-pub struct CorpusReport {
-    /// Per-file reports, in input order.
-    pub items: Vec<CorpusItem>,
-    /// Sum of all per-item stats.
-    pub totals: ValidationStats,
-    /// Number of [`ItemOutcome::Valid`] items.
-    pub valid: usize,
-    /// Number of [`ItemOutcome::Invalid`] items.
-    pub invalid: usize,
-    /// Number of [`ItemOutcome::MalformedXml`] items.
-    pub malformed: usize,
-    /// Number of [`ItemOutcome::ReadFailed`] items.
-    pub read_failed: usize,
-    /// Verdicts replayed from the cache.
-    pub cache_hits: usize,
-    /// Documents that went through the validator (read but uncached;
-    /// read failures count in neither bucket).
-    pub cache_misses: usize,
-    /// Total bytes served via actual memory mappings.
-    pub bytes_mmapped: u64,
-    /// Total bytes served via buffered reads (mmap off or unavailable).
-    pub bytes_read: u64,
-    /// Worker count the run used.
-    pub workers: usize,
-    /// Wall-clock time (excluded from determinism guarantees).
-    pub elapsed: Duration,
-}
-
-impl CorpusReport {
-    fn from_items(items: Vec<CorpusItem>, workers: usize, elapsed: Duration) -> CorpusReport {
-        let mut totals = ValidationStats::default();
-        let (mut valid, mut invalid, mut malformed, mut read_failed) = (0, 0, 0, 0);
-        let (mut cache_hits, mut cache_misses) = (0, 0);
-        let (mut bytes_mmapped, mut bytes_read) = (0u64, 0u64);
-        for item in &items {
-            totals += item.stats;
-            match &item.outcome {
-                ItemOutcome::Valid => valid += 1,
-                ItemOutcome::Invalid | ItemOutcome::ChainBroken { .. } => invalid += 1,
-                ItemOutcome::MalformedXml(_) => malformed += 1,
-                ItemOutcome::EditFailed(_) | ItemOutcome::ReadFailed(_) => read_failed += 1,
-            }
-            if matches!(item.outcome, ItemOutcome::ReadFailed(_)) {
-                // Not a hit, not a miss: nothing content-derived happened.
-            } else if item.cached {
-                cache_hits += 1;
-            } else {
-                cache_misses += 1;
-            }
-            if item.mapped {
-                bytes_mmapped += item.bytes;
-            } else {
-                bytes_read += item.bytes;
-            }
-        }
-        CorpusReport {
-            items,
-            totals,
-            valid,
-            invalid,
-            malformed,
-            read_failed,
-            cache_hits,
-            cache_misses,
-            bytes_mmapped,
-            bytes_read,
-            workers,
-            elapsed,
-        }
-    }
-
-    /// Whether every file validated.
-    pub fn all_valid(&self) -> bool {
-        self.valid == self.items.len()
-    }
-
-    /// Documents per second of wall-clock time.
-    pub fn docs_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.items.len() as f64 / secs
-    }
-
-    /// The deterministic portion of the report — everything except
-    /// timing, worker count, and the mmap-vs-read byte split (which
-    /// depends on whether the OS granted a mapping, not on the input).
-    /// Per-item wall-clock counters are zeroed as in
-    /// [`crate::BatchReport::deterministic_view`].
-    pub fn deterministic_view(&self) -> CorpusView {
-        let strip = |mut s: ValidationStats| {
-            s.index_build_micros = 0;
-            s.cert_check_micros = 0;
-            s
-        };
-        CorpusView {
-            items: self
-                .items
-                .iter()
-                .map(|i| {
-                    (
-                        i.path.clone(),
-                        i.outcome.clone(),
-                        strip(i.stats),
-                        i.cached,
-                        i.bytes,
-                    )
-                })
-                .collect(),
-            totals: strip(self.totals),
-            valid: self.valid,
-            invalid: self.invalid,
-            malformed: self.malformed,
-            read_failed: self.read_failed,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-        }
-    }
-}
-
-/// See [`CorpusReport::deterministic_view`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorpusView {
-    /// `(path, outcome, stats, cached, bytes)` per item, in input order.
-    pub items: Vec<(PathBuf, ItemOutcome, ValidationStats, bool, u64)>,
-    /// Folded stats, wall-clock counters zeroed.
-    pub totals: ValidationStats,
-    /// As on [`CorpusReport`].
-    pub valid: usize,
-    /// As on [`CorpusReport`].
-    pub invalid: usize,
-    /// As on [`CorpusReport`].
-    pub malformed: usize,
-    /// As on [`CorpusReport`].
-    pub read_failed: usize,
-    /// As on [`CorpusReport`].
-    pub cache_hits: usize,
-    /// As on [`CorpusReport`].
-    pub cache_misses: usize,
-}
+/// Options for [`BatchEngine::validate_corpus`]. There are none: the
+/// queue depth and the mmap-or-read cutoff are fixed constants. The type
+/// stays, field-less, only so that existing callers of the
+/// `validate_corpus(.., &CorpusOptions::default())` signature — the
+/// benchmark harness in `perfbench/` among them — keep compiling.
+#[derive(Debug, Clone, Default)]
+pub struct CorpusOptions {}
 
 /// One unit of work in the path queue: just an index and a path — never
 /// document bytes, so the queue's memory footprint is bounded by
-/// `queue_capacity` paths no matter how large the corpus is. A walk
-/// error travels as a pre-made failure so it still lands at the right
-/// position in the report.
+/// `QUEUE_SLOTS_PER_WORKER × workers` paths no matter how large the
+/// corpus is. A walk error travels as a pre-made failure so it still
+/// lands at the right position in the report.
 struct Work {
     idx: usize,
     path: PathBuf,
@@ -277,7 +102,9 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> &str {
 
 impl<'c, 's> BatchEngine<'c, 's> {
     /// Revalidates a corpus with bounded memory, streaming paths from
-    /// `source` through a bounded queue to the worker pool.
+    /// `source` through a bounded queue to the worker pool. Every item of
+    /// the report carries its path, byte count, and whether its verdict
+    /// came from the cache.
     ///
     /// With a [`VerdictCache`], verdicts for unchanged documents are
     /// replayed without parsing, and freshly computed content-derived
@@ -293,37 +120,30 @@ impl<'c, 's> BatchEngine<'c, 's> {
         source: &CorpusSource,
         alphabet: &Alphabet,
         mut cache: Option<&mut VerdictCache>,
-        options: &CorpusOptions,
-    ) -> io::Result<CorpusReport> {
+        _options: &CorpusOptions,
+    ) -> io::Result<BatchReport> {
         let started = Instant::now();
         let workers = self.workers();
-        let capacity = if options.queue_capacity == 0 {
-            workers * 64
-        } else {
-            options.queue_capacity
-        };
-        let use_mmap = options.use_mmap;
-        let mmap_threshold = options.mmap_threshold;
 
         // Open the source *before* spawning anything, so a missing root
         // is a clean error rather than an empty report.
         let mut producer = Producer::open(source)?;
 
         let cache_snapshot: Option<&VerdictCache> = cache.as_deref();
-        let (tx, rx) = loomlite::sync::mpsc::sync_channel::<Work>(capacity);
+        let (tx, rx) = loomlite::sync::mpsc::sync_channel::<Work>(workers * QUEUE_SLOTS_PER_WORKER);
         let rx = Mutex::new(rx);
 
         // Workers return their private result piles; inserts discovered
         // on misses ride along and are applied to the cache after the
         // scope ends (the snapshot borrow is read-only inside).
-        type Pile = Vec<(usize, CorpusItem, PendingInsert)>;
+        type Pile = Vec<(usize, ItemReport, PendingInsert)>;
         let piles: Vec<Pile> = thread::scope(|scope| {
             scope.spawn(move || producer.feed(tx));
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let rx = &rx;
                     scope.spawn(move || {
-                        let mut scratch = schemacast_core::StreamScratch::default();
+                        let mut scratch = StreamScratch::default();
                         // Reused for sub-threshold files; holds at most
                         // one document, so memory stays O(workers).
                         let mut buffer: Vec<u8> = Vec::new();
@@ -355,32 +175,19 @@ impl<'c, 's> BatchEngine<'c, 's> {
                                         work,
                                         alphabet,
                                         cache_snapshot,
-                                        use_mmap,
-                                        mmap_threshold,
                                         &mut buffer,
                                         &mut scratch,
                                     )
                                 }));
                             match caught {
-                                Ok((item, insert)) => pile.push((item.0, item.1, insert)),
+                                Ok(done) => pile.push(done),
                                 Err(payload) => {
-                                    scratch = schemacast_core::StreamScratch::default();
+                                    scratch = StreamScratch::default();
                                     buffer = Vec::new();
                                     let msg = panic_message(payload.as_ref());
-                                    pile.push((
-                                        idx,
-                                        CorpusItem {
-                                            path,
-                                            outcome: ItemOutcome::ReadFailed(format!(
-                                                "validator panicked: {msg}"
-                                            )),
-                                            stats: ValidationStats::default(),
-                                            cached: false,
-                                            bytes: 0,
-                                            mapped: false,
-                                        },
-                                        None,
-                                    ));
+                                    let item =
+                                        read_failed(path, format!("validator panicked: {msg}"));
+                                    pile.push((idx, item, None));
                                 }
                             }
                         }
@@ -397,7 +204,7 @@ impl<'c, 's> BatchEngine<'c, 's> {
                 .collect()
         });
 
-        let mut indexed: Vec<(usize, CorpusItem)> = Vec::new();
+        let mut indexed: Vec<(usize, ItemReport)> = Vec::new();
         for pile in piles {
             for (idx, item, insert) in pile {
                 if let (Some(cache), Some((hash, entry))) = (cache.as_deref_mut(), insert) {
@@ -408,44 +215,26 @@ impl<'c, 's> BatchEngine<'c, 's> {
         }
         indexed.sort_unstable_by_key(|(idx, _)| *idx);
         let items = indexed.into_iter().map(|(_, item)| item).collect();
-        Ok(CorpusReport::from_items(items, workers, started.elapsed()))
+        Ok(BatchReport::from_items(items, workers, started.elapsed()))
     }
 
     /// Validates one corpus file: map (or read), hash, cache lookup,
     /// validate on a miss. Runs on a worker thread; the document's bytes
     /// live only for the duration of this call.
-    #[allow(clippy::too_many_arguments)]
     fn process_one(
         &self,
         work: Work,
         alphabet: &Alphabet,
         cache: Option<&VerdictCache>,
-        use_mmap: bool,
-        mmap_threshold: u64,
         buffer: &mut Vec<u8>,
-        scratch: &mut schemacast_core::StreamScratch,
-    ) -> ((usize, CorpusItem), PendingInsert) {
+        scratch: &mut StreamScratch,
+    ) -> (usize, ItemReport, PendingInsert) {
         let Work {
             idx,
             path,
             walk_error,
         } = work;
-        let fail = |message: String| {
-            (
-                (
-                    idx,
-                    CorpusItem {
-                        path: path.clone(),
-                        outcome: ItemOutcome::ReadFailed(message),
-                        stats: ValidationStats::default(),
-                        cached: false,
-                        bytes: 0,
-                        mapped: false,
-                    },
-                ),
-                None,
-            )
-        };
+        let fail = |message: String| (idx, read_failed(path.clone(), message), None);
         if let Some(message) = walk_error {
             return fail(message);
         }
@@ -462,7 +251,7 @@ impl<'c, 's> BatchEngine<'c, 's> {
             Err(e) => return fail(e.to_string()),
         };
         let mapping;
-        let (bytes, mapped): (&[u8], bool) = if use_mmap && file_len >= mmap_threshold {
+        let (bytes, mapped): (&[u8], bool) = if file_len >= MMAP_THRESHOLD {
             mapping = match Mmap::map(&file) {
                 Ok(m) => m,
                 Err(e) => return fail(e.to_string()),
@@ -487,48 +276,51 @@ impl<'c, 's> BatchEngine<'c, 's> {
         );
 
         let hash = content_hash(bytes);
-        let len = bytes.len() as u64;
-        if let Some(entry) = cache.and_then(|c| c.get(hash)) {
-            let (outcome, stats) = entry.replay();
-            return (
-                (
-                    idx,
-                    CorpusItem {
-                        path,
-                        outcome,
-                        stats,
-                        cached: true,
-                        bytes: len,
-                        mapped,
+        let (outcome, stats, cached, insert) = match cache.and_then(|c| c.get(hash)) {
+            Some(entry) => {
+                let (outcome, stats) = entry.replay();
+                (outcome, stats, true, None)
+            }
+            None => {
+                let (outcome, stats) = match std::str::from_utf8(bytes) {
+                    // Content-derived, so cached like any other malformed
+                    // input.
+                    Err(e) => (
+                        ItemOutcome::MalformedXml(format!("invalid UTF-8: {e}")),
+                        ValidationStats::default(),
+                    ),
+                    Ok(text) => match StreamingCast::new(self.context())
+                        .validate_str_with(text, alphabet, scratch)
+                    {
+                        Ok((outcome, stats)) => (ItemOutcome::from_cast(outcome), stats),
+                        Err(e) => (
+                            ItemOutcome::MalformedXml(e.to_string()),
+                            ValidationStats::default(),
+                        ),
                     },
-                ),
-                None,
-            );
-        }
-
-        let report = match std::str::from_utf8(bytes) {
-            // Content-derived, so cached like any other malformed input.
-            Err(e) => crate::ItemReport {
-                outcome: ItemOutcome::MalformedXml(format!("invalid UTF-8: {e}")),
-                stats: ValidationStats::default(),
-            },
-            Ok(text) => self.validate_one_xml(text, alphabet, scratch),
+                };
+                let insert = CacheEntry::from_outcome(&outcome, stats).map(|e| (hash, e));
+                (outcome, stats, false, insert)
+            }
         };
-        let insert = CacheEntry::from_outcome(&report.outcome, report.stats).map(|e| (hash, e));
-        (
-            (
-                idx,
-                CorpusItem {
-                    path,
-                    outcome: report.outcome,
-                    stats: report.stats,
-                    cached: false,
-                    bytes: len,
-                    mapped,
-                },
-            ),
-            insert,
-        )
+        let item = ItemReport {
+            path,
+            outcome,
+            stats,
+            cached,
+            bytes: bytes.len() as u64,
+            mapped,
+        };
+        (idx, item, insert)
+    }
+}
+
+/// The report for a file that yielded no content: nothing read, nothing
+/// cached.
+fn read_failed(path: PathBuf, message: String) -> ItemReport {
+    ItemReport {
+        path,
+        ..ItemReport::new(ItemOutcome::ReadFailed(message), ValidationStats::default())
     }
 }
 

@@ -5,34 +5,36 @@
 //!
 //! The paper's economics are "preprocess a schema pair once, revalidate many
 //! documents cheaply" — the shape of a high-throughput revalidation service.
-//! This crate supplies the service half: [`BatchEngine`] shards a batch of
-//! documents (in-memory [`Doc`]s, raw XML text, or a [`BatchItem`] mix)
-//! across a [`std::thread::scope`] worker pool running over one shared
-//! [`CastContext`].
+//! This crate supplies the service half: [`BatchEngine`] runs a batch over
+//! one shared [`CastContext`] on a worker pool, and every batch returns the
+//! one [`BatchReport`] type.
+//!
+//! There is one pipeline per kind of input:
+//!
+//! * **Documents** — [`BatchEngine::validate_corpus`] streams an on-disk
+//!   tree, a manifest, or a path list ([`CorpusSource`]) through a bounded
+//!   path queue with memory O(workers), mmap-or-read adaptive I/O, the
+//!   zero-copy tape validator, and an optional persistent content-hash
+//!   [`VerdictCache`], so a re-run after editing k of n files revalidates
+//!   exactly k documents (see [`corpus`] and [`cache`]).
+//! * **Edited documents** — [`BatchEngine::validate_edited`] stays in
+//!   memory, because an edit script addresses nodes of a parsed tree.
+//! * **Chain migrations** — [`ChainEngine::validate_migrations`] verifies
+//!   one migration script per item over a preprocessed schema-evolution
+//!   chain, with chain-level static skips/rejects folded into the totals.
 //!
 //! Design points:
 //!
-//! * **No external dependencies** — plain scoped threads and an atomic
-//!   work counter; workers claim contiguous chunks of the input, so cores
-//!   stay busy even when per-document cost is skewed.
+//! * **No external dependencies** — plain scoped threads, an atomic work
+//!   counter for in-memory batches and a bounded channel for corpora.
 //! * **Deterministic output** — [`BatchReport::items`] is in input order
 //!   and per-item [`schemacast_core::ValidationStats`] are exact, whatever
-//!   the scheduling;
-//!   batch totals are folded in input order. Identical batches give
-//!   byte-identical reports at any worker count (asserted by tests).
+//!   the scheduling; batch totals are folded in input order. Identical
+//!   batches give identical [`BatchReport::deterministic_view`]s at any
+//!   worker count (asserted by tests).
 //! * **Contention-free warm-up** — [`BatchEngine::warm_up`] precomputes the
 //!   reachable product IDAs in parallel at preprocessing time, leaning on
 //!   the sharded, build-outside-the-lock IDA cache in `schemacast-core`.
-//! * **Chain batches** — [`ChainEngine`] runs the same pool over a
-//!   preprocessed schema-evolution chain: one-pass `(v_1, v_N)` document
-//!   verdicts and per-item migration-script verification with chain-level
-//!   static skips/rejects folded into the batch totals.
-//! * **Corpus scale** — [`BatchEngine::validate_corpus`] streams an
-//!   on-disk tree or manifest through a bounded path queue with memory
-//!   O(workers), mmap-or-read adaptive I/O, and a persistent
-//!   content-hash [`VerdictCache`] so a re-run after editing k of n
-//!   files revalidates exactly k documents (see [`corpus`] and
-//!   [`cache`]).
 
 pub mod cache;
 mod chain;
@@ -42,25 +44,15 @@ mod report;
 
 pub use cache::{content_hash, CacheEntry, CacheLoad, ColdReason, VerdictCache};
 pub use chain::ChainEngine;
-pub use corpus::{CorpusItem, CorpusOptions, CorpusReport, CorpusSource, CorpusView};
+pub use corpus::{CorpusOptions, CorpusSource};
 pub use report::{BatchReport, ItemOutcome, ItemReport};
 
 use schemacast_core::certify::{certify_context, CertificationRun};
-use schemacast_core::{CastContext, ModsValidator, StreamScratch, StreamingCast};
-use schemacast_regex::Alphabet;
+use schemacast_core::{CastContext, ModsValidator};
 use schemacast_tree::{DeltaDoc, Doc, Edit};
 use std::borrow::Borrow;
 use std::num::NonZeroUsize;
 use std::time::Instant;
-
-/// One unit of work in a mixed batch.
-#[derive(Debug, Clone, Copy)]
-pub enum BatchItem<'d> {
-    /// An already-parsed document, validated by the tree walker.
-    Doc(&'d Doc),
-    /// Raw XML text, validated by [`StreamingCast`] without building a tree.
-    Xml(&'d str),
-}
 
 /// A batch revalidation engine over one preprocessed schema pair.
 ///
@@ -69,7 +61,6 @@ pub enum BatchItem<'d> {
 pub struct BatchEngine<'c, 's> {
     ctx: &'c CastContext<'s>,
     workers: NonZeroUsize,
-    static_fastpath: bool,
 }
 
 impl<'c, 's> BatchEngine<'c, 's> {
@@ -80,22 +71,10 @@ impl<'c, 's> BatchEngine<'c, 's> {
 
     /// An engine with an explicit worker count (`0` means the default).
     pub fn with_workers(ctx: &'c CastContext<'s>, workers: usize) -> BatchEngine<'c, 's> {
-        let workers = NonZeroUsize::new(workers).unwrap_or_else(default_workers);
         BatchEngine {
             ctx,
-            workers,
-            static_fastpath: true,
+            workers: NonZeroUsize::new(workers).unwrap_or_else(default_workers),
         }
-    }
-
-    /// Enables or disables the static update-safety fast path used by
-    /// [`BatchEngine::validate_edited`] (on by default). With it off every
-    /// edited item takes the dynamic Δ-revalidation path — useful for
-    /// benchmarking the fast path's contribution and for differential
-    /// testing.
-    pub fn with_static_fastpath(mut self, enabled: bool) -> BatchEngine<'c, 's> {
-        self.static_fastpath = enabled;
-        self
     }
 
     /// The configured worker count.
@@ -136,50 +115,11 @@ impl<'c, 's> BatchEngine<'c, 's> {
         certify_context(self.ctx)
     }
 
-    /// Revalidates a batch of parsed documents.
-    ///
-    /// `docs` may be `&[Doc]`, `&[&Doc]`, or anything else that borrows
-    /// [`Doc`]; results come back in input order.
-    pub fn validate_docs<D>(&self, docs: &[D]) -> BatchReport
-    where
-        D: Borrow<Doc> + Sync,
-    {
-        self.run(docs.len(), |i| self.validate_one_doc(docs[i].borrow()))
-    }
-
-    /// Revalidates a batch of raw XML texts in streaming mode (no document
-    /// trees are built; memory per worker is O(depth)).
-    ///
-    /// Each worker drives the zero-copy pull parser through a private
-    /// reusable [`StreamScratch`], so label resolution, the stage-1
-    /// structural tape, and the per-document product-IDA memo all allocate
-    /// once per worker rather than once per document; subsumed subtrees are
-    /// skipped lexically, and the bytes/events so avoided are surfaced in the batch
-    /// report's folded [`schemacast_core::ValidationStats`]
-    /// (`bytes_skipped` / `events_avoided`).
-    pub fn validate_xml<S>(&self, texts: &[S], alphabet: &Alphabet) -> BatchReport
-    where
-        S: AsRef<str> + Sync,
-    {
-        self.run_with_scratch(texts.len(), |scratch, i| {
-            self.validate_one_xml(texts[i].as_ref(), alphabet, scratch)
-        })
-    }
-
-    /// Revalidates a mixed batch of documents and raw XML.
-    pub fn validate_items(&self, items: &[BatchItem<'_>], alphabet: &Alphabet) -> BatchReport {
-        self.run_with_scratch(items.len(), |scratch, i| match items[i] {
-            BatchItem::Doc(doc) => self.validate_one_doc(doc),
-            BatchItem::Xml(text) => self.validate_one_xml(text, alphabet, scratch),
-        })
-    }
-
     /// Revalidates a batch of *edited* documents: each item is an original
     /// document (valid for the source schema) plus an edit script, and the
     /// verdict is for the edited result against the target schema.
     ///
-    /// When the static fast path is enabled (the default), each script is
-    /// first run through the update-safety analyzer
+    /// Each script is first run through the update-safety analyzer
     /// ([`CastContext::validate_edited_static`]): scripts whose edits are
     /// all statically decided never apply the edits at all — the document
     /// is accepted via an edit-site-exempt cast (`static_skips`) or
@@ -196,83 +136,36 @@ impl<'c, 's> BatchEngine<'c, 's> {
         D: Borrow<Doc> + Sync,
     {
         let mods = ModsValidator::new(self.ctx);
-        self.run(items.len(), |i| {
+        run_batch(self.workers.get(), items.len(), |i| {
             let (doc, edits) = &items[i];
             let doc = doc.borrow();
-            if self.static_fastpath {
-                if let Some((outcome, stats)) = self.ctx.validate_edited_static(doc, edits) {
-                    return ItemReport {
-                        outcome: ItemOutcome::from_cast(outcome),
-                        stats,
-                    };
-                }
-                if let Some((outcome, stats)) = self.ctx.validate_edited_script(doc, edits) {
-                    return ItemReport {
-                        outcome: ItemOutcome::from_cast(outcome),
-                        stats,
-                    };
-                }
+            let decided = self
+                .ctx
+                .validate_edited_static(doc, edits)
+                .or_else(|| self.ctx.validate_edited_script(doc, edits));
+            if let Some((outcome, stats)) = decided {
+                return ItemReport::new(ItemOutcome::from_cast(outcome), stats);
             }
             let mut dd = DeltaDoc::new(doc.clone());
             if let Err(e) = dd.apply_all(edits) {
-                return ItemReport {
-                    outcome: ItemOutcome::EditFailed(e.to_string()),
-                    stats: Default::default(),
-                };
+                return ItemReport::new(ItemOutcome::EditFailed(e.to_string()), Default::default());
             }
             let (outcome, stats) = mods.validate_with_stats(&dd);
-            ItemReport {
-                outcome: ItemOutcome::from_cast(outcome),
-                stats,
-            }
+            ItemReport::new(ItemOutcome::from_cast(outcome), stats)
         })
     }
+}
 
-    fn validate_one_doc(&self, doc: &Doc) -> ItemReport {
-        let (outcome, stats) = self.ctx.validate_with_stats(doc);
-        ItemReport {
-            outcome: ItemOutcome::from_cast(outcome),
-            stats,
-        }
-    }
-
-    fn validate_one_xml(
-        &self,
-        text: &str,
-        alphabet: &Alphabet,
-        scratch: &mut StreamScratch,
-    ) -> ItemReport {
-        match StreamingCast::new(self.ctx).validate_str_with(text, alphabet, scratch) {
-            Ok((outcome, stats)) => ItemReport {
-                outcome: ItemOutcome::from_cast(outcome),
-                stats,
-            },
-            Err(e) => ItemReport {
-                outcome: ItemOutcome::MalformedXml(e.to_string()),
-                stats: Default::default(),
-            },
-        }
-    }
-
-    /// Fans `produce` out over the pool and folds the deterministic report.
-    fn run(&self, n: usize, produce: impl Fn(usize) -> ItemReport + Sync) -> BatchReport {
-        let started = Instant::now();
-        let items = pool::collect_indexed(self.workers.get(), n, produce);
-        BatchReport::from_items(items, self.workers.get(), started.elapsed())
-    }
-
-    /// [`run`](Self::run) with a per-worker [`StreamScratch`] threaded
-    /// through every call, for the streaming paths.
-    fn run_with_scratch(
-        &self,
-        n: usize,
-        produce: impl Fn(&mut StreamScratch, usize) -> ItemReport + Sync,
-    ) -> BatchReport {
-        let started = Instant::now();
-        let items =
-            pool::collect_indexed_with(self.workers.get(), n, StreamScratch::default, produce);
-        BatchReport::from_items(items, self.workers.get(), started.elapsed())
-    }
+/// Runs an in-memory batch: fans `produce` out over the pool and folds the
+/// deterministic report.
+fn run_batch(
+    workers: usize,
+    n: usize,
+    produce: impl Fn(usize) -> ItemReport + Sync,
+) -> BatchReport {
+    let started = Instant::now();
+    let items = pool::collect_indexed(workers, n, produce);
+    BatchReport::from_items(items, workers, started.elapsed())
 }
 
 /// `available_parallelism`, defaulting to 1 where it is unobservable.

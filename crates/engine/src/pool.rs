@@ -29,27 +29,12 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    collect_indexed_with(workers, n, || (), |(), i| work(i))
-}
-
-/// [`collect_indexed`] with per-worker scratch state: each worker thread
-/// calls `init` once and threads the resulting value through every `work`
-/// call it claims. Used to give each worker a reusable scratch buffer
-/// (e.g. the streaming validator's `SymCache`) with zero cross-document
-/// allocation churn and zero sharing between workers.
-pub(crate) fn collect_indexed_with<S, T, G, F>(workers: usize, n: usize, init: G, work: F) -> Vec<T>
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     if n == 0 {
         return Vec::new();
     }
     let workers = workers.min(n);
     if workers <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| work(&mut state, i)).collect();
+        return (0..n).map(work).collect();
     }
 
     let chunk = chunk_size(n, workers);
@@ -57,9 +42,8 @@ where
     let parts: Vec<Vec<(usize, T)>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (next, init, work) = (&next, &init, &work);
+                let (next, work) = (&next, &work);
                 scope.spawn(move || {
-                    let mut state = init();
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         // ordering: Relaxed suffices — the counter only
@@ -71,7 +55,7 @@ where
                             break;
                         }
                         for i in start..(start + chunk).min(n) {
-                            local.push((i, work(&mut state, i)));
+                            local.push((i, work(i)));
                         }
                     }
                     local
@@ -135,41 +119,6 @@ mod tests {
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
-    #[test]
-    fn per_worker_state_is_private_and_initialized_once_per_thread() {
-        // Each worker increments its own counter per item. If the state
-        // were shared or re-initialized mid-stream, the per-value counts
-        // below would not form the staircase each private counter makes.
-        for workers in [1, 2, 4] {
-            let out = collect_indexed_with(
-                workers,
-                200,
-                || 0usize,
-                |state, _i| {
-                    *state += 1;
-                    *state
-                },
-            );
-            assert_eq!(out.len(), 200);
-            // Each worker that ran contributes exactly one `1`, so at most
-            // `workers` states were ever created.
-            let ones = out.iter().filter(|&&v| v == 1).count();
-            assert!((1..=workers).contains(&ones), "workers={workers}");
-            // A private counter emits each value at most once, so the count
-            // of items with value v never increases with v.
-            let max = *out.iter().max().unwrap();
-            for v in 1..max {
-                let at = out.iter().filter(|&&x| x == v).count();
-                let above = out.iter().filter(|&&x| x == v + 1).count();
-                assert!(
-                    at >= above,
-                    "value {v} seen {at}× but {} seen {above}×",
-                    v + 1
-                );
-            }
-        }
-    }
-
     /// Model-checked no-loss/ordering: under `--cfg loomlite` every
     /// bounded interleaving of two workers racing the claim counter is
     /// explored — including both workers bumping past `n` together and
@@ -179,15 +128,7 @@ mod tests {
     #[test]
     fn model_collect_indexed_loses_nothing_in_any_schedule() {
         loomlite::model(|| {
-            let out = collect_indexed_with(
-                2,
-                3,
-                || 0usize,
-                |calls, i| {
-                    *calls += 1;
-                    i * 10
-                },
-            );
+            let out = collect_indexed(2, 3, |i| i * 10);
             assert_eq!(out, vec![0, 10, 20], "an index was lost or reordered");
         });
     }

@@ -1,6 +1,7 @@
 //! Batch results: per-item verdicts in input order plus folded totals.
 
 use schemacast_core::{CastOutcome, ValidationStats};
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// The verdict for one batch item.
@@ -10,7 +11,8 @@ pub enum ItemOutcome {
     Valid,
     /// Not valid with respect to the target schema.
     Invalid,
-    /// The raw XML input was not well-formed (streaming inputs only).
+    /// The document was not well-formed XML or not UTF-8 (corpus items
+    /// only).
     MalformedXml(String),
     /// The edit script could not be applied to the document (edited
     /// batches only).
@@ -21,7 +23,7 @@ pub enum ItemOutcome {
         /// 0-based index of the first hop whose verdict failed.
         hop: usize,
     },
-    /// The input file could not be read at all (corpus/file batches only):
+    /// The input file could not be read at all (corpus items only):
     /// missing, permission denied, or an I/O error mid-read. Unlike
     /// [`ItemOutcome::MalformedXml`] this says nothing about the content,
     /// so it is transient — the verdict cache never records it.
@@ -46,18 +48,45 @@ impl ItemOutcome {
 /// Verdict and cost counters for one batch item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ItemReport {
+    /// The file's path as walked, with manifest-relative paths resolved.
+    /// Empty for edited and migration items, which live in memory.
+    pub path: PathBuf,
     /// The verdict.
     pub outcome: ItemOutcome,
-    /// The validator's cost counters for this item alone.
+    /// The validator's cost counters for this item alone (replayed from
+    /// the cache on a hit).
     pub stats: ValidationStats,
+    /// Whether the verdict came from the verdict cache.
+    pub cached: bool,
+    /// Document size in bytes (0 for in-memory items and unreadable
+    /// files).
+    pub bytes: u64,
+    /// Whether the document bytes came from an actual memory mapping.
+    pub mapped: bool,
 }
 
-/// The result of one batch run.
+impl ItemReport {
+    /// An item with no file behind it: empty path, nothing read, nothing
+    /// cached.
+    pub(crate) fn new(outcome: ItemOutcome, stats: ValidationStats) -> ItemReport {
+        ItemReport {
+            path: PathBuf::new(),
+            outcome,
+            stats,
+            cached: false,
+            bytes: 0,
+            mapped: false,
+        }
+    }
+}
+
+/// The result of one batch run — corpus, edited, or chain-migration.
 ///
 /// `items` is in input order regardless of how work was scheduled, and
 /// `totals` is folded from `items` in input order — so two runs of the same
-/// batch agree on everything except `elapsed`, whatever the worker counts.
-#[derive(Debug, Clone)]
+/// batch agree on everything [`BatchReport::deterministic_view`] keeps,
+/// whatever the worker counts.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReport {
     /// Per-item reports, in input order.
     pub items: Vec<ItemReport>,
@@ -65,7 +94,8 @@ pub struct BatchReport {
     pub totals: ValidationStats,
     /// Number of [`ItemOutcome::Valid`] items.
     pub valid: usize,
-    /// Number of [`ItemOutcome::Invalid`] items.
+    /// Number of [`ItemOutcome::Invalid`] and [`ItemOutcome::ChainBroken`]
+    /// items.
     pub invalid: usize,
     /// Number of [`ItemOutcome::MalformedXml`] items.
     pub malformed: usize,
@@ -73,9 +103,18 @@ pub struct BatchReport {
     pub edit_failed: usize,
     /// Number of [`ItemOutcome::ReadFailed`] items.
     pub read_failed: usize,
+    /// Verdicts replayed from the verdict cache.
+    pub cache_hits: usize,
+    /// Items that went through the validator instead of the cache (read
+    /// and edit failures count in neither bucket).
+    pub cache_misses: usize,
+    /// Total bytes served via actual memory mappings.
+    pub bytes_mmapped: u64,
+    /// Total bytes served via buffered reads.
+    pub bytes_read: u64,
     /// Worker count the batch ran with.
     pub workers: usize,
-    /// Wall-clock time of the batch (excluded from determinism guarantees).
+    /// Wall-clock time of the batch.
     pub elapsed: Duration,
 }
 
@@ -85,30 +124,48 @@ impl BatchReport {
         workers: usize,
         elapsed: Duration,
     ) -> BatchReport {
-        let mut totals = ValidationStats::default();
-        let (mut valid, mut invalid, mut malformed, mut edit_failed, mut read_failed) =
-            (0, 0, 0, 0, 0);
-        for item in &items {
-            totals += item.stats;
-            match item.outcome {
-                ItemOutcome::Valid => valid += 1,
-                ItemOutcome::Invalid | ItemOutcome::ChainBroken { .. } => invalid += 1,
-                ItemOutcome::MalformedXml(_) => malformed += 1,
-                ItemOutcome::EditFailed(_) => edit_failed += 1,
-                ItemOutcome::ReadFailed(_) => read_failed += 1,
-            }
-        }
-        BatchReport {
-            items,
-            totals,
-            valid,
-            invalid,
-            malformed,
-            edit_failed,
-            read_failed,
+        let mut report = BatchReport {
+            items: Vec::new(),
+            totals: ValidationStats::default(),
+            valid: 0,
+            invalid: 0,
+            malformed: 0,
+            edit_failed: 0,
+            read_failed: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            bytes_mmapped: 0,
+            bytes_read: 0,
             workers,
             elapsed,
+        };
+        for item in &items {
+            report.totals += item.stats;
+            match item.outcome {
+                ItemOutcome::Valid => report.valid += 1,
+                ItemOutcome::Invalid | ItemOutcome::ChainBroken { .. } => report.invalid += 1,
+                ItemOutcome::MalformedXml(_) => report.malformed += 1,
+                ItemOutcome::EditFailed(_) => report.edit_failed += 1,
+                ItemOutcome::ReadFailed(_) => report.read_failed += 1,
+            }
+            if matches!(
+                item.outcome,
+                ItemOutcome::ReadFailed(_) | ItemOutcome::EditFailed(_)
+            ) {
+                // Not a hit, not a miss: nothing was validated.
+            } else if item.cached {
+                report.cache_hits += 1;
+            } else {
+                report.cache_misses += 1;
+            }
+            if item.mapped {
+                report.bytes_mmapped += item.bytes;
+            } else {
+                report.bytes_read += item.bytes;
+            }
         }
+        report.items = items;
+        report
     }
 
     /// Whether every item validated.
@@ -125,46 +182,23 @@ impl BatchReport {
         self.items.len() as f64 / secs
     }
 
-    /// The deterministic portion of the report (everything except timing
-    /// and worker count) — what batch-identity tests should compare.
-    ///
-    /// Wall-clock counters *inside* the stats
-    /// ([`ValidationStats::index_build_micros`],
-    /// [`ValidationStats::cert_check_micros`]) are zeroed in the view: they
-    /// vary run to run by construction, like `elapsed`.
-    #[allow(clippy::type_complexity)]
-    pub fn deterministic_view(
-        &self,
-    ) -> (
-        Vec<ItemReport>,
-        ValidationStats,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-    ) {
-        let strip = |mut s: ValidationStats| {
-            s.index_build_micros = 0;
-            s.cert_check_micros = 0;
-            s
-        };
-        let items = self
-            .items
-            .iter()
-            .map(|i| ItemReport {
-                outcome: i.outcome.clone(),
-                stats: strip(i.stats),
-            })
-            .collect();
-        (
-            items,
-            strip(self.totals),
-            self.valid,
-            self.invalid,
-            self.malformed,
-            self.edit_failed,
-            self.read_failed,
-        )
+    /// The deterministic portion of the report — what batch-identity tests
+    /// compare. It zeroes what varies run to run by construction: `elapsed`,
+    /// `workers`, the wall-clock counters inside the stats
+    /// ([`ValidationStats::without_clocks`]), and the mmap-vs-read split
+    /// (`bytes_mmapped`, `bytes_read`, per-item `mapped`), which depends on
+    /// whether the OS granted a mapping, not on the input.
+    pub fn deterministic_view(&self) -> BatchReport {
+        let mut view = self.clone();
+        for item in &mut view.items {
+            item.stats = item.stats.without_clocks();
+            item.mapped = false;
+        }
+        view.totals = view.totals.without_clocks();
+        view.bytes_mmapped = 0;
+        view.bytes_read = 0;
+        view.workers = 0;
+        view.elapsed = Duration::ZERO;
+        view
     }
 }

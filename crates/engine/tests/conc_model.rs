@@ -12,7 +12,7 @@
 //! * publish-once wins exactly once — `schemacast-core`,
 //!   `idacache::tests::model_publish_once_under_every_interleaving`
 //!   (the cache type is crate-private there);
-//! * `collect_indexed_with` loses no item and preserves order —
+//! * `collect_indexed` loses no item and preserves order —
 //!   `pool::tests::model_collect_indexed_loses_nothing_in_any_schedule`
 //!   (same reason);
 //! * the producer/worker channel neither deadlocks nor drops work on

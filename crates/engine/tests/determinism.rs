@@ -1,18 +1,21 @@
 //! The engine's core guarantee: scheduling never leaks into results.
 //!
-//! The same batch must produce identical outcomes, identical per-item
+//! The same corpus must produce identical outcomes, identical per-item
 //! stats, and identical totals at every worker count — plus a stress shape
 //! (many small documents over many type pairs) that hammers the sharded
 //! IDA cache from all workers at once.
 
 use schemacast_core::{CastContext, CastOptions};
-use schemacast_engine::{BatchEngine, BatchItem, ItemOutcome};
+use schemacast_engine::{BatchEngine, BatchReport, CorpusOptions, CorpusSource, ItemOutcome};
 use schemacast_regex::Alphabet;
 use schemacast_schema::{AbstractSchema, SchemaBuilder, Session, SimpleType};
 use schemacast_tree::Doc;
 use schemacast_workload::purchase_order as po;
+use std::path::{Path, PathBuf};
 
-/// Purchase-order schema pair plus a mixed batch of documents and XML.
+/// Purchase-order schema pair plus a mixed batch: serialized documents
+/// (every third one without the `billTo` the target requires), generated
+/// XML, and two malformed texts.
 fn po_fixture() -> (
     Session,
     AbstractSchema,
@@ -34,26 +37,57 @@ fn po_fixture() -> (
     (session, source, target, docs, texts)
 }
 
+/// A fresh scratch directory under the system temp dir; the pid and test
+/// name keep concurrent test binaries apart.
+fn tmpdir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "schemacast-determinism-{}-{name}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Writes each text as `dir/docNNNNN.xml`, so the sorted walk order is
+/// the input order.
+fn write_corpus<S: AsRef<str>>(dir: &Path, texts: &[S]) -> CorpusSource {
+    for (i, text) in texts.iter().enumerate() {
+        std::fs::write(dir.join(format!("doc{i:05}.xml")), text.as_ref()).expect("write doc");
+    }
+    CorpusSource::Dir(dir.to_path_buf())
+}
+
+fn serialize(doc: &Doc, ab: &Alphabet) -> String {
+    schemacast_xml::to_string(&doc.to_xml(ab))
+}
+
+fn run(ctx: &CastContext<'_>, workers: usize, source: &CorpusSource, ab: &Alphabet) -> BatchReport {
+    BatchEngine::with_workers(ctx, workers)
+        .validate_corpus(source, ab, None, &CorpusOptions::default())
+        .expect("corpus run")
+}
+
 #[test]
 fn identical_reports_across_worker_counts() {
     let (session, source, target, docs, texts) = po_fixture();
     let ctx = CastContext::new(&source, &target, &session.alphabet);
-
-    let items: Vec<BatchItem<'_>> = docs
+    let dir = tmpdir("workers");
+    let mixed: Vec<String> = docs
         .iter()
-        .map(BatchItem::Doc)
-        .chain(texts.iter().map(|t| BatchItem::Xml(t)))
+        .map(|d| serialize(d, &session.alphabet))
+        .chain(texts)
         .collect();
+    let corpus = write_corpus(&dir, &mixed);
 
-    let baseline = BatchEngine::with_workers(&ctx, 1).validate_items(&items, &session.alphabet);
-    assert_eq!(baseline.items.len(), items.len());
+    let baseline = run(&ctx, 1, &corpus, &session.alphabet);
+    assert_eq!(baseline.items.len(), mixed.len());
     // The fixture mixes valid, invalid, and malformed inputs.
     assert!(baseline.valid > 0 && baseline.invalid > 0);
     assert_eq!(baseline.malformed, 2);
 
     for workers in [2, 3, 4, 8, 16] {
-        let run =
-            BatchEngine::with_workers(&ctx, workers).validate_items(&items, &session.alphabet);
+        let run = run(&ctx, workers, &corpus, &session.alphabet);
         assert_eq!(
             run.deterministic_view(),
             baseline.deterministic_view(),
@@ -62,20 +96,28 @@ fn identical_reports_across_worker_counts() {
     }
 
     // Determinism also holds run-to-run at a fixed worker count.
-    let again = BatchEngine::with_workers(&ctx, 4).validate_items(&items, &session.alphabet);
-    let once = BatchEngine::with_workers(&ctx, 4).validate_items(&items, &session.alphabet);
+    let again = run(&ctx, 4, &corpus, &session.alphabet);
+    let once = run(&ctx, 4, &corpus, &session.alphabet);
     assert_eq!(again.deterministic_view(), once.deterministic_view());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn per_item_verdicts_match_direct_validation() {
     let (session, source, target, docs, _) = po_fixture();
     let ctx = CastContext::new(&source, &target, &session.alphabet);
-    let report = BatchEngine::new(&ctx).validate_docs(&docs);
+    let dir = tmpdir("direct");
+    let texts: Vec<String> = docs
+        .iter()
+        .map(|d| serialize(d, &session.alphabet))
+        .collect();
+    let report = run(&ctx, 0, &write_corpus(&dir, &texts), &session.alphabet);
+    assert_eq!(report.items.len(), docs.len());
     for (doc, item) in docs.iter().zip(&report.items) {
         assert_eq!(item.outcome.is_valid(), ctx.validate(doc).is_valid());
         assert_eq!(item.outcome.is_valid(), target.accepts_document(doc));
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Builds a schema with `n` distinct complex record types (each rooted at
@@ -107,28 +149,21 @@ fn stress_many_small_docs_many_type_pairs() {
     let mut ab = Alphabet::new();
     let source = many_type_schema(&mut ab, TYPES, true);
     let target = many_type_schema(&mut ab, TYPES, false);
-    let key = ab.lookup("key").expect("key");
-    let extra = ab.lookup("extra").expect("extra");
 
     // Half the documents carry the `extra` child (target-valid), half do
     // not (target-invalid); they cycle through every record type so all
     // worker threads demand-build IDAs for all pairs concurrently.
-    let docs: Vec<Doc> = (0..DOCS)
+    let texts: Vec<String> = (0..DOCS)
         .map(|i| {
-            let label = ab.lookup(&format!("rec{}", i % TYPES)).expect("root label");
-            let mut doc = Doc::new(label);
-            let k = doc.add_element(doc.root(), key);
-            doc.add_text(k, "v");
-            if i % 2 == 0 {
-                let e = doc.add_element(doc.root(), extra);
-                doc.add_text(e, "w");
-            }
-            doc
+            let extra = if i % 2 == 0 { "<extra>w</extra>" } else { "" };
+            format!("<rec{0}><key>v</key>{extra}</rec{0}>", i % TYPES)
         })
         .collect();
+    let dir = tmpdir("stress");
+    let corpus = write_corpus(&dir, &texts);
 
     let ctx = CastContext::new(&source, &target, &ab);
-    let report = BatchEngine::with_workers(&ctx, 16).validate_docs(&docs);
+    let report = run(&ctx, 16, &corpus, &ab);
     for (i, item) in report.items.iter().enumerate() {
         let expect = i % 2 == 0;
         assert_eq!(
@@ -147,8 +182,9 @@ fn stress_many_small_docs_many_type_pairs() {
     assert_eq!(ctx.cached_ida_count(), TYPES);
 
     // A single-threaded rerun agrees bit for bit.
-    let single = BatchEngine::with_workers(&ctx, 1).validate_docs(&docs);
+    let single = run(&ctx, 1, &corpus, &ab);
     assert_eq!(single.deterministic_view(), report.deterministic_view());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -186,7 +222,9 @@ fn warm_up_precomputes_reachable_pairs_in_parallel() {
 fn streaming_and_tree_agree_in_batch() {
     let (session, source, target, _, texts) = po_fixture();
     let ctx = CastContext::new(&source, &target, &session.alphabet);
-    let report = BatchEngine::with_workers(&ctx, 4).validate_xml(&texts, &session.alphabet);
+    let dir = tmpdir("tree");
+    let report = run(&ctx, 4, &write_corpus(&dir, &texts), &session.alphabet);
+    assert_eq!(report.items.len(), texts.len());
     for (text, item) in texts.iter().zip(&report.items) {
         match &item.outcome {
             ItemOutcome::MalformedXml(_) => {
@@ -200,6 +238,7 @@ fn streaming_and_tree_agree_in_batch() {
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -14,11 +14,13 @@
 //! schemacast chain v1.xsd v2.xsd [v3.xsd ...] [--json | --sarif] [--certify]
 //! ```
 //!
-//! `batch` with `--dir`, `--manifest`, or `--stream` runs the
-//! bounded-memory corpus pipeline: paths stream through a bounded queue
-//! to the workers, documents are memory-mapped and validated off the
-//! tape without ever materializing the corpus in memory, and per-file
-//! read failures become per-item verdicts instead of aborting the run.
+//! `batch` runs the bounded-memory corpus pipeline whichever way the
+//! documents are named — a positional file list, `--dir`, or `--manifest`:
+//! paths stream through a bounded queue to the workers, documents are
+//! memory-mapped and validated off the tape without ever materializing the
+//! corpus in memory, and per-file read or parse failures become per-item
+//! verdicts (`READ FAILED` / `MALFORMED`, exit 2) instead of aborting the
+//! run.
 //! `--cache PATH` adds the persistent content-hash verdict cache: hits
 //! replay recorded verdicts, and the cache goes cold automatically when
 //! the schema pair, cast options, or computed relations change. With
@@ -82,7 +84,7 @@ fn usage() -> ExitCode {
         "usage:\n  schemacast validate --schema S.xsd doc.xml...\n  \
          schemacast cast --source S.xsd --target T.xsd [--stream] [--stats] [--certify] \
          doc.xml...\n  \
-         schemacast batch --source S.xsd --target T.xsd [--threads N] [--stream] \
+         schemacast batch --source S.xsd --target T.xsd [--threads N] \
          [--warm-up] [--stats] [--certify] doc.xml...\n  \
          schemacast batch --source S.xsd --target T.xsd (--dir DIR | --manifest FILE) \
          [--cache PATH] [--threads N] [--stats] [--certify]\n  \
@@ -382,34 +384,16 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            // `--dir` / `--manifest` / `--stream` all run the streaming
-            // corpus pipeline: bounded memory, mmap'd documents, per-file
-            // read failures as per-item verdicts. Plain positional batches
-            // keep the tree path (documents parsed up front, interning
-            // labels into the shared alphabet).
-            let corpus_source = if let Some(dir) = &opts.dir {
-                Some(CorpusSource::Dir(PathBuf::from(dir)))
+            // Every document batch runs the streaming corpus pipeline:
+            // bounded memory, mmap'd documents, and per-file read or parse
+            // failures as per-item verdicts.
+            let corpus = if let Some(dir) = &opts.dir {
+                CorpusSource::Dir(PathBuf::from(dir))
             } else if let Some(man) = &opts.manifest {
-                Some(CorpusSource::Manifest(PathBuf::from(man)))
-            } else if opts.stream {
-                Some(CorpusSource::Paths(
-                    opts.docs.iter().map(PathBuf::from).collect(),
-                ))
+                CorpusSource::Manifest(PathBuf::from(man))
             } else {
-                None
+                CorpusSource::Paths(opts.docs.iter().map(PathBuf::from).collect())
             };
-            let mut docs: Vec<Doc> = Vec::new();
-            if corpus_source.is_none() {
-                for path in &opts.docs {
-                    match load_doc(path, &mut session) {
-                        Ok((doc, _)) => docs.push(doc),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::from(2);
-                        }
-                    }
-                }
-            }
             let ctx = CastContext::new(&source, &target, &session.alphabet);
             let engine = BatchEngine::with_workers(&ctx, opts.threads.unwrap_or(0));
             let cert_run = if opts.certify {
@@ -425,177 +409,106 @@ fn main() -> ExitCode {
                 println!("warm-up: {built} product IDA(s) precomputed");
             }
 
-            if let Some(corpus) = corpus_source {
-                // The cache trusts an existing file only under the same
-                // context fingerprint — and, when certifying, the same
-                // certification digest.
-                let fp = ctx.fingerprint(&session.alphabet);
-                let cert_digest = cert_run
-                    .as_ref()
-                    .map_or(0, |run| certification_digest(fp, run));
-                let mut cache = opts
-                    .cache
-                    .as_deref()
-                    .map(|p| VerdictCache::load(Path::new(p), fp, cert_digest));
-                let mut report = match engine.validate_corpus(
-                    &corpus,
-                    &session.alphabet,
-                    cache.as_mut(),
-                    &CorpusOptions::default(),
-                ) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("batch: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                if let (Some(cache), Some(path)) = (&cache, opts.cache.as_deref()) {
-                    if let Err(e) = cache.save(Path::new(path)) {
-                        eprintln!("warning: cannot save cache {path}: {e}");
-                    }
-                }
-                if let Some(run) = &cert_run {
-                    report.totals += run.stats();
-                }
-                let mut any_malformed = false;
-                for item in &report.items {
-                    let path = item.path.display();
-                    match &item.outcome {
-                        ItemOutcome::Valid => println!("{path}: valid"),
-                        ItemOutcome::Invalid | ItemOutcome::ChainBroken { .. } => {
-                            println!("{path}: INVALID");
-                            any_invalid = true;
-                        }
-                        ItemOutcome::MalformedXml(e) => {
-                            println!("{path}: MALFORMED ({e})");
-                            any_malformed = true;
-                        }
-                        ItemOutcome::ReadFailed(e) | ItemOutcome::EditFailed(e) => {
-                            println!("{path}: READ FAILED ({e})");
-                            any_malformed = true;
-                        }
-                    }
-                }
-                println!(
-                    "batch: {} doc(s) on {} worker(s) in {:.1?}  ({:.0} docs/sec)  \
-                     valid {} / invalid {} / malformed {} / read-failed {}",
-                    report.items.len(),
-                    report.workers,
-                    report.elapsed,
-                    report.docs_per_sec(),
-                    report.valid,
-                    report.invalid,
-                    report.malformed,
-                    report.read_failed
-                );
-                if opts.stats {
-                    println!(
-                        "  nodes visited: {}   subsumed skips: {}   value checks: {}",
-                        report.totals.nodes_visited,
-                        report.totals.subsumed_skips,
-                        report.totals.value_checks
-                    );
-                    println!(
-                        "  bytes skipped lexically: {}   tag events avoided: {}",
-                        report.totals.bytes_skipped, report.totals.events_avoided
-                    );
-                    if report.totals.tape_events > 0 {
-                        println!(
-                            "  tape events: {}   tape skip hops: {}   index build: {} us",
-                            report.totals.tape_events,
-                            report.totals.tape_skip_hops,
-                            report.totals.index_build_micros
-                        );
-                    }
-                    println!(
-                        "  cache hits: {}   cache misses: {}",
-                        report.cache_hits, report.cache_misses
-                    );
-                    println!(
-                        "  bytes mmapped: {}   bytes read: {}",
-                        report.bytes_mmapped, report.bytes_read
-                    );
-                    if cert_run.is_some() {
-                        println!(
-                            "  certificates: {} emitted, {} checked in {} us",
-                            report.totals.certs_emitted,
-                            report.totals.certs_checked,
-                            report.totals.cert_check_micros
-                        );
-                    }
-                }
-                if any_malformed {
+            // The cache trusts an existing file only under the same
+            // context fingerprint — and, when certifying, the same
+            // certification digest.
+            let fp = ctx.fingerprint(&session.alphabet);
+            let cert_digest = cert_run
+                .as_ref()
+                .map_or(0, |run| certification_digest(fp, run));
+            let mut cache = opts
+                .cache
+                .as_deref()
+                .map(|p| VerdictCache::load(Path::new(p), fp, cert_digest));
+            let mut report = match engine.validate_corpus(
+                &corpus,
+                &session.alphabet,
+                cache.as_mut(),
+                &CorpusOptions::default(),
+            ) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("batch: {e}");
                     return ExitCode::from(2);
                 }
-            } else {
-                let mut report = engine.validate_docs(&docs);
-                if let Some(run) = &cert_run {
-                    report.totals += run.stats();
+            };
+            if let (Some(cache), Some(path)) = (&cache, opts.cache.as_deref()) {
+                if let Err(e) = cache.save(Path::new(path)) {
+                    eprintln!("warning: cannot save cache {path}: {e}");
                 }
-                let mut any_malformed = false;
-                for (path, item) in opts.docs.iter().zip(&report.items) {
-                    match &item.outcome {
-                        ItemOutcome::Valid => println!("{path}: valid"),
-                        ItemOutcome::Invalid => {
-                            println!("{path}: INVALID");
-                            any_invalid = true;
-                        }
-                        ItemOutcome::MalformedXml(e) => {
-                            println!("{path}: MALFORMED ({e})");
-                            any_malformed = true;
-                        }
-                        ItemOutcome::EditFailed(e) | ItemOutcome::ReadFailed(e) => {
-                            println!("{path}: EDIT FAILED ({e})");
-                            any_malformed = true;
-                        }
-                        ItemOutcome::ChainBroken { hop } => {
-                            println!("{path}: CHAIN BROKEN (hop {hop})");
-                            any_invalid = true;
-                        }
+            }
+            if let Some(run) = &cert_run {
+                report.totals += run.stats();
+            }
+            let mut any_malformed = false;
+            for item in &report.items {
+                let path = item.path.display();
+                match &item.outcome {
+                    ItemOutcome::Valid => println!("{path}: valid"),
+                    ItemOutcome::Invalid | ItemOutcome::ChainBroken { .. } => {
+                        println!("{path}: INVALID");
+                        any_invalid = true;
                     }
+                    ItemOutcome::MalformedXml(e) => {
+                        println!("{path}: MALFORMED ({e})");
+                        any_malformed = true;
+                    }
+                    ItemOutcome::ReadFailed(e) | ItemOutcome::EditFailed(e) => {
+                        println!("{path}: READ FAILED ({e})");
+                        any_malformed = true;
+                    }
+                }
+            }
+            println!(
+                "batch: {} doc(s) on {} worker(s) in {:.1?}  ({:.0} docs/sec)  \
+                 valid {} / invalid {} / malformed {} / read-failed {}",
+                report.items.len(),
+                report.workers,
+                report.elapsed,
+                report.docs_per_sec(),
+                report.valid,
+                report.invalid,
+                report.malformed,
+                report.read_failed
+            );
+            if opts.stats {
+                println!(
+                    "  nodes visited: {}   subsumed skips: {}   value checks: {}",
+                    report.totals.nodes_visited,
+                    report.totals.subsumed_skips,
+                    report.totals.value_checks
+                );
+                println!(
+                    "  bytes skipped lexically: {}   tag events avoided: {}",
+                    report.totals.bytes_skipped, report.totals.events_avoided
+                );
+                if report.totals.tape_events > 0 {
+                    println!(
+                        "  tape events: {}   tape skip hops: {}   index build: {} us",
+                        report.totals.tape_events,
+                        report.totals.tape_skip_hops,
+                        report.totals.index_build_micros
+                    );
                 }
                 println!(
-                    "batch: {} doc(s) on {} worker(s) in {:.1?}  ({:.0} docs/sec)  \
-                     valid {} / invalid {} / malformed {}",
-                    report.items.len(),
-                    report.workers,
-                    report.elapsed,
-                    report.docs_per_sec(),
-                    report.valid,
-                    report.invalid,
-                    report.malformed
+                    "  cache hits: {}   cache misses: {}",
+                    report.cache_hits, report.cache_misses
                 );
-                if opts.stats {
+                println!(
+                    "  bytes mmapped: {}   bytes read: {}",
+                    report.bytes_mmapped, report.bytes_read
+                );
+                if cert_run.is_some() {
                     println!(
-                        "  nodes visited: {}   subsumed skips: {}   value checks: {}",
-                        report.totals.nodes_visited,
-                        report.totals.subsumed_skips,
-                        report.totals.value_checks
+                        "  certificates: {} emitted, {} checked in {} us",
+                        report.totals.certs_emitted,
+                        report.totals.certs_checked,
+                        report.totals.cert_check_micros
                     );
-                    println!(
-                        "  bytes skipped lexically: {}   tag events avoided: {}",
-                        report.totals.bytes_skipped, report.totals.events_avoided
-                    );
-                    if report.totals.tape_events > 0 {
-                        println!(
-                            "  tape events: {}   tape skip hops: {}   index build: {} us",
-                            report.totals.tape_events,
-                            report.totals.tape_skip_hops,
-                            report.totals.index_build_micros
-                        );
-                    }
-                    if cert_run.is_some() {
-                        println!(
-                            "  certificates: {} emitted, {} checked in {} us",
-                            report.totals.certs_emitted,
-                            report.totals.certs_checked,
-                            report.totals.cert_check_micros
-                        );
-                    }
                 }
-                if any_malformed {
-                    return ExitCode::from(2);
-                }
+            }
+            if any_malformed {
+                return ExitCode::from(2);
             }
         }
         "cast" | "repair" => {
