@@ -2,41 +2,64 @@
 //!
 //! These are the static tests that seed the paper's fixpoint computations:
 //! `L(regexp_τ) ⊆ L(regexp_τ')` for `R_sub` (Definition 4, condition ii) and
-//! `L(regexp_τ) ∩ L(regexp_τ') ∩ P* ≠ ∅` for `R_nondis` (Definition 5). All
+//! `L(regexp_τ) ∩ L(regexp_τ') ∩ P* ≠ ∅` for `R_nondis` (Definition 5). Both
 //! walk the pair graph lazily, so a one-off check never materializes a full
-//! product table.
+//! product table. The walk follows only the `a` side's live edges
+//! ([`Dfa::live_edges`]), never a whole table row: once `a` is in its sink —
+//! absorbing and non-final — no goal pair of either test is reachable, so
+//! the symbols that lead there need not be tried. Visited pairs live in a
+//! dense bitset indexed `qa · |Q_b| + qb`.
 
 use crate::bitset::BitSet;
 use crate::dfa::{Dfa, StateId};
 use schemacast_regex::Sym;
-use std::collections::HashSet;
 
-fn alphabet_width(a: &Dfa, b: &Dfa) -> usize {
-    a.alphabet_len().max(b.alphabet_len())
+/// Depth-first search of the pair graph of `(a, b)` from the start pair,
+/// expanding only `a`'s live edges whose symbol `follow` admits and whose
+/// `b` target `keep_b` admits. Returns whether a pair satisfying `goal` is
+/// reachable.
+fn pair_walk(
+    a: &Dfa,
+    b: &Dfa,
+    follow: impl Fn(usize) -> bool,
+    keep_b: impl Fn(StateId) -> bool,
+    goal: impl Fn(StateId, StateId) -> bool,
+) -> bool {
+    let nb = b.state_count();
+    let mut seen = BitSet::new(a.state_count() * nb);
+    let start = (a.start(), b.start());
+    seen.insert(start.0 as usize * nb + start.1 as usize);
+    let mut stack = vec![start];
+    while let Some((qa, qb)) = stack.pop() {
+        if goal(qa, qb) {
+            return true;
+        }
+        for &(sym, ta) in a.live_edges(qa) {
+            if !follow(sym.index()) {
+                continue;
+            }
+            let tb = b.step(qb, sym);
+            if keep_b(tb) && seen.insert(ta as usize * nb + tb as usize) {
+                stack.push((ta, tb));
+            }
+        }
+    }
+    false
 }
 
 /// Whether `L(a) ⊆ L(b)`.
 ///
-/// BFS over reachable pairs; a counterexample is a pair with an `a`-final,
-/// non-`b`-final state.
+/// A counterexample is a reachable pair with an `a`-final, non-`b`-final
+/// state. `b` is stepped with [`Dfa::step`], so a symbol beyond `b`'s table
+/// sends it to its sink like any other symbol `b` rejects.
 pub fn language_subset(a: &Dfa, b: &Dfa) -> bool {
-    let width = alphabet_width(a, b);
-    let mut seen: HashSet<(StateId, StateId)> = HashSet::new();
-    let mut stack = vec![(a.start(), b.start())];
-    seen.insert((a.start(), b.start()));
-    while let Some((qa, qb)) = stack.pop() {
-        if a.is_final(qa) && !b.is_final(qb) {
-            return false;
-        }
-        for s in 0..width {
-            let sym = Sym(s as u32);
-            let next = (a.step(qa, sym), b.step(qb, sym));
-            if seen.insert(next) {
-                stack.push(next);
-            }
-        }
-    }
-    true
+    !pair_walk(
+        a,
+        b,
+        |_| true,
+        |_| true,
+        |qa, qb| a.is_final(qa) && !b.is_final(qb),
+    )
 }
 
 /// Whether `L(a) ∩ L(b) = ∅`.
@@ -56,28 +79,15 @@ pub fn equivalent(a: &Dfa, b: &Dfa) -> bool {
 /// must be accepted by both automata *and* use only labels whose child-type
 /// pair is already known non-disjoint.
 pub fn intersection_nonempty_restricted(a: &Dfa, b: &Dfa, allowed: Option<&BitSet>) -> bool {
-    let width = alphabet_width(a, b);
-    let mut seen: HashSet<(StateId, StateId)> = HashSet::new();
-    let mut stack = vec![(a.start(), b.start())];
-    seen.insert((a.start(), b.start()));
-    while let Some((qa, qb)) = stack.pop() {
-        if a.is_final(qa) && b.is_final(qb) {
-            return true;
-        }
-        for s in 0..width {
-            if let Some(p) = allowed {
-                if s >= p.capacity() || !p.contains(s) {
-                    continue;
-                }
-            }
-            let sym = Sym(s as u32);
-            let next = (a.step(qa, sym), b.step(qb, sym));
-            if seen.insert(next) {
-                stack.push(next);
-            }
-        }
-    }
-    false
+    // A goal needs both sides final, so pairs with `b` in its sink are
+    // dropped as well.
+    pair_walk(
+        a,
+        b,
+        |s| allowed.is_none_or(|p| s < p.capacity() && p.contains(s)),
+        |tb| tb != b.sink(),
+        |qa, qb| a.is_final(qa) && b.is_final(qb),
+    )
 }
 
 /// Whether `L(a) ∩ P* ≠ ∅` — the productivity test of §3: a complex type is

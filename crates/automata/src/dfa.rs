@@ -6,11 +6,20 @@
 //! interned after the DFA was built (`sym.index() ≥ alphabet_len`) also step
 //! to the sink, so a document using labels unknown to a schema is simply
 //! rejected by its content models.
+//!
+//! Beside the table, a DFA derives its *live edges* in compressed-row
+//! form: per state, the transitions that do not enter the sink. A content
+//! model over a few hundred labels has one or two of those per state, so
+//! pair-graph walks ([`crate::checks`]) iterate these lists instead of
+//! stepping every table column. They are built on first use: products and
+//! reversals that are only stepped, such as the string-cast machinery the
+//! edit path builds per document, never pay for them.
 
 use crate::bitset::BitSet;
 use crate::nfa::Nfa;
 use schemacast_regex::ast::RepeatOverflow;
 use schemacast_regex::{GlushkovNfa, Regex, Sym};
+use std::sync::OnceLock;
 
 /// A DFA state index.
 pub type StateId = u32;
@@ -24,7 +33,32 @@ pub struct Dfa {
     trans: Vec<StateId>,
     finals: Vec<bool>,
     sink: StateId,
+    /// Built by [`Dfa::live_edges`] on first use.
+    live: LiveEdges,
 }
+
+/// The live-edge lists of a [`Dfa`], derived from its table on first use.
+#[derive(Debug, Clone, Default)]
+struct LiveEdges(OnceLock<LiveRows>);
+
+/// Compressed rows: `edges[start[q]..start[q + 1]]` are the
+/// `(symbol, target)` transitions of `q` whose target is not the sink, by
+/// symbol.
+#[derive(Debug, Clone)]
+struct LiveRows {
+    start: Vec<u32>,
+    edges: Vec<(Sym, StateId)>,
+}
+
+/// Derived data carries no identity of its own: two DFAs are equal when
+/// their tables are, whether or not either has built its lists yet.
+impl PartialEq for LiveEdges {
+    fn eq(&self, _: &LiveEdges) -> bool {
+        true
+    }
+}
+
+impl Eq for LiveEdges {}
 
 impl Dfa {
     /// Assembles a DFA from raw parts, materializing a sink if the given
@@ -68,6 +102,7 @@ impl Dfa {
             trans,
             finals,
             sink,
+            live: LiveEdges::default(),
         }
     }
 
@@ -109,6 +144,7 @@ impl Dfa {
             trans,
             finals,
             sink,
+            live: LiveEdges::default(),
         }
     }
 
@@ -158,6 +194,38 @@ impl Dfa {
         } else {
             self.sink
         }
+    }
+
+    /// The transitions of `q` that do not enter the sink, as
+    /// `(symbol, target)` pairs in symbol order. Every other symbol —
+    /// including any beyond the table's alphabet — steps `q` to the sink.
+    #[inline]
+    pub fn live_edges(&self, q: StateId) -> &[(Sym, StateId)] {
+        let rows = self.live.0.get_or_init(|| self.live_rows());
+        let q = q as usize;
+        &rows.edges[rows.start[q] as usize..rows.start[q + 1] as usize]
+    }
+
+    /// Builds the compressed rows behind [`Dfa::live_edges`].
+    fn live_rows(&self) -> LiveRows {
+        // Live edges are a subset of table entries, so this bounds every
+        // offset.
+        assert!(
+            u32::try_from(self.trans.len()).is_ok(),
+            "transition table too large for u32 live-edge offsets"
+        );
+        let mut start = Vec::with_capacity(self.state_count() + 1);
+        let mut edges = Vec::new();
+        start.push(0);
+        for q in 0..self.state_count() as StateId {
+            for (s, &t) in self.row(q).iter().enumerate() {
+                if t != self.sink {
+                    edges.push((Sym(s as u32), t));
+                }
+            }
+            start.push(edges.len() as u32);
+        }
+        LiveRows { start, edges }
     }
 
     /// Runs the DFA over `input` starting at `q`.
@@ -412,6 +480,34 @@ mod tests {
         for input in [vec![], vec![a], vec![a, b], vec![b], vec![a, b, b]] {
             assert_eq!(d.accepts(&input), !comp.accepts(&input), "input {input:?}");
         }
+    }
+
+    #[test]
+    fn live_edges_are_the_non_sink_row_entries() {
+        let mut ab = Alphabet::new();
+        let glushkov = Dfa::from_regex(&parse_regex("(a, b?, c*)", &mut ab).unwrap(), 5).unwrap();
+        // Two `a` positions from the start: not one-unambiguous, so this
+        // one goes through the subset construction.
+        let ambiguous = parse_regex("(a, b) | (a, c)", &mut ab).unwrap();
+        assert!(!GlushkovNfa::new(&ambiguous).unwrap().is_deterministic());
+        let determinized = Dfa::from_regex(&ambiguous, ab.len()).unwrap();
+        let product = crate::product::Product::new(&glushkov, &determinized);
+        for d in [&glushkov, &determinized, product.dfa()] {
+            for q in 0..d.state_count() as StateId {
+                let expected: Vec<(Sym, StateId)> = d
+                    .row(q)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &t)| t != d.sink())
+                    .map(|(s, &t)| (Sym(s as u32), t))
+                    .collect();
+                assert_eq!(d.live_edges(q), expected.as_slice(), "state {q}");
+            }
+            assert!(d.live_edges(d.sink()).is_empty());
+        }
+        // Building the lists leaves equality alone.
+        let fresh = Dfa::from_regex(&parse_regex("(a, b?, c*)", &mut ab).unwrap(), 5).unwrap();
+        assert_eq!(glushkov, fresh);
     }
 
     #[test]

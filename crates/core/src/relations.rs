@@ -9,6 +9,16 @@
 //! child-type pairs are already known non-disjoint. `R_dis` is its
 //! complement (Theorem 2).
 //!
+//! Both seeds are pair-graph walks over the content-model DFAs
+//! ([`language_subset`], [`intersection_nonempty_restricted`]) that follow
+//! only live (non-sink) transitions through a dense visited bitset. The
+//! `R_nondis` fixpoint is driven by a worklist rather than repeated sweeps:
+//! every complex pair is checked once, and a pair is checked again only
+//! when one of its child pairs enters the relation — the only event that
+//! can grow its `P`. The order in which pairs enter is recorded
+//! ([`TypeRelations::nondis_order`]); each witness rests on strictly
+//! earlier pairs, which is the emission order of `R_nondis` certificates.
+//!
 //! Deviation from the paper's merged-χ exposition (anticipated by its
 //! "straightforward extension" remark): simple×simple pairs are seeded with
 //! the value-space subsumption/disjointness of `schemacast-schema::simple`
@@ -19,8 +29,9 @@
 //! content model meets a simple type accepting the empty string).
 
 use schemacast_automata::{intersection_nonempty_restricted, language_subset, BitSet};
-use schemacast_regex::Alphabet;
+use schemacast_regex::{Alphabet, Sym};
 use schemacast_schema::{AbstractSchema, TypeDef, TypeId};
+use std::collections::VecDeque;
 
 /// The precomputed subsumption and (non-)disjointness relations between the
 /// types of a source schema and a target schema.
@@ -137,52 +148,97 @@ impl TypeRelations {
                 }
             }
         }
-        loop {
-            let mut changed = false;
-            for s in source.type_ids() {
-                let TypeDef::Complex(a) = source.type_def(s) else {
-                    continue;
-                };
-                for t in target.type_ids() {
-                    if nondis[s.index()].contains(t.index()) {
-                        continue;
-                    }
-                    let TypeDef::Complex(b) = target.type_def(t) else {
-                        continue;
-                    };
-                    // P = labels whose child-type pair is already nondis.
-                    let mut allowed = BitSet::new(label_capacity);
-                    for (&label, &child_s) in &a.child_types {
-                        if let Some(child_t) = b.child_type(label) {
-                            if nondis[child_s.index()].contains(child_t.index()) {
-                                // Checked in release builds too: a label
-                                // beyond the bitset would be silently
-                                // dropped from P, shrinking `P*` and turning
-                                // non-disjoint pairs into wrong rejections
-                                // (the PR 1 out-of-range-label regression).
-                                // `label_capacity` is sized from both
-                                // schemas above, so a violation here is a
-                                // sizing bug worth an immediate abort.
-                                assert!(
-                                    label.index() < allowed.capacity(),
-                                    "label {} outside the sized alphabet ({})",
-                                    label.index(),
-                                    allowed.capacity()
-                                );
-                                allowed.insert(label.index());
-                            }
-                        }
-                    }
-                    if intersection_nonempty_restricted(&a.dfa, &b.dfa, Some(&allowed)) {
-                        nondis[s.index()].insert(t.index());
-                        nondis_order[s.index() * n_tgt + t.index()] = order_counter;
-                        order_counter += 1;
-                        changed = true;
+
+        // Reverse child indexes: when `(cs, ct)` enters the relation, the
+        // pairs whose `P` can grow are exactly the `(s, t)` with
+        // `s.child(ℓ) = cs` and `t.child(ℓ) = ct` for some label `ℓ`. Lists
+        // are sorted so the re-check order — and with it `nondis_order` —
+        // does not depend on hash-map iteration order.
+        let mut src_parents: Vec<Vec<(Sym, TypeId)>> = vec![Vec::new(); n_src];
+        for s in source.type_ids() {
+            if let TypeDef::Complex(a) = source.type_def(s) {
+                for (&label, &cs) in &a.child_types {
+                    src_parents[cs.index()].push((label, s));
+                }
+            }
+        }
+        let mut tgt_by_label: Vec<Vec<(TypeId, TypeId)>> = vec![Vec::new(); label_capacity];
+        for t in target.type_ids() {
+            if let TypeDef::Complex(b) = target.type_def(t) {
+                for (&label, &ct) in &b.child_types {
+                    tgt_by_label[label.index()].push((ct, t));
+                }
+            }
+        }
+        for list in &mut src_parents {
+            list.sort_unstable();
+        }
+        for list in &mut tgt_by_label {
+            list.sort_unstable();
+        }
+
+        // Worklist: every complex pair once in `(s, t)` order (the first
+        // sweep of the round-based formulation), then each pair again only
+        // when one of its child pairs enters the relation. `P` is read from
+        // the relation at check time, so a witness only rests on pairs with
+        // strictly smaller `nondis_order`.
+        let mut queue: VecDeque<(TypeId, TypeId)> = VecDeque::new();
+        let mut queued = BitSet::new(n_src * n_tgt);
+        for s in source.type_ids() {
+            if !matches!(source.type_def(s), TypeDef::Complex(_)) {
+                continue;
+            }
+            for t in target.type_ids() {
+                if matches!(target.type_def(t), TypeDef::Complex(_)) {
+                    queue.push_back((s, t));
+                    queued.insert(s.index() * n_tgt + t.index());
+                }
+            }
+        }
+        while let Some((s, t)) = queue.pop_front() {
+            queued.remove(s.index() * n_tgt + t.index());
+            let (TypeDef::Complex(a), TypeDef::Complex(b)) =
+                (source.type_def(s), target.type_def(t))
+            else {
+                continue;
+            };
+            // P = labels whose child-type pair is already nondis.
+            let mut allowed = BitSet::new(label_capacity);
+            for (&label, &child_s) in &a.child_types {
+                if let Some(child_t) = b.child_type(label) {
+                    if nondis[child_s.index()].contains(child_t.index()) {
+                        // Checked in release builds too: a label beyond the
+                        // bitset would be silently dropped from P, shrinking
+                        // `P*` and turning non-disjoint pairs into wrong
+                        // rejections (the out-of-range-label regression).
+                        // `label_capacity` is sized from both schemas above,
+                        // so a violation here is a sizing bug worth an
+                        // immediate abort.
+                        assert!(
+                            label.index() < allowed.capacity(),
+                            "label {} outside the sized alphabet ({})",
+                            label.index(),
+                            allowed.capacity()
+                        );
+                        allowed.insert(label.index());
                     }
                 }
             }
-            if !changed {
-                break;
+            if !intersection_nonempty_restricted(&a.dfa, &b.dfa, Some(&allowed)) {
+                continue;
+            }
+            nondis[s.index()].insert(t.index());
+            nondis_order[s.index() * n_tgt + t.index()] = order_counter;
+            order_counter += 1;
+            for &(label, ps) in &src_parents[s.index()] {
+                for &(ct, pt) in &tgt_by_label[label.index()] {
+                    if ct == t
+                        && !nondis[ps.index()].contains(pt.index())
+                        && queued.insert(ps.index() * n_tgt + pt.index())
+                    {
+                        queue.push_back((ps, pt));
+                    }
+                }
             }
         }
 

@@ -9,7 +9,7 @@
 //! | id     | name               | invariant |
 //! |--------|--------------------|-----------|
 //! | SL0001 | panic-ratchet      | unwrap/expect in library code may only shrink |
-//! | SL0002 | hot-path-collections | no `HashMap` in streaming hot-path modules |
+//! | SL0002 | hot-path-collections | no `HashMap`/`HashSet` in streaming hot-path modules or the relation-fixpoint kernels |
 //! | SL0003 | unsafe-gate        | every crate root carries `#![deny(unsafe_code)]` |
 //! | SL0004 | std-sync-ban       | shim-migrated crates use `loomlite::{sync,thread}`, never `std::{sync,thread}` |
 //! | SL0005 | ordering-justify   | every non-SeqCst atomic ordering carries a nearby `// ordering:` comment |
@@ -19,9 +19,20 @@ use crate::lexer::SourceFile;
 use std::collections::BTreeMap;
 
 /// File names (anywhere under `crates/*/src`) whose bodies may not name
-/// `HashMap`: SipHash per lookup is exactly the per-event cost the
-/// streaming hot path exists to avoid.
-const HOT_PATH_FILES: &[&str] = &["stream.rs", "hot.rs", "index.rs"];
+/// a hashed collection: SipHash per lookup is exactly the per-event cost
+/// the streaming hot path exists to avoid, and the per-type-pair walks of
+/// the `R_sub`/`R_nondis` fixpoints (`checks.rs`, `relations.rs`) keep
+/// their visited sets and indexes dense for the same reason.
+const HOT_PATH_FILES: &[&str] = &[
+    "stream.rs",
+    "hot.rs",
+    "index.rs",
+    "checks.rs",
+    "relations.rs",
+];
+
+/// The hashed collections SL0002 bans from [`HOT_PATH_FILES`].
+const HASHED_COLLECTIONS: &[&str] = &["HashMap", "HashSet"];
 
 /// Crates migrated onto the loomlite concurrency shim. Library code here
 /// must import `loomlite::sync` / `loomlite::thread`, so the model
@@ -190,12 +201,12 @@ fn hot_path_collections(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
             continue;
         }
         for (line, code) in file.library_code() {
-            if code.contains("HashMap") {
+            if let Some(name) = HASHED_COLLECTIONS.iter().find(|n| code.contains(*n)) {
                 rule.emit(
                     out,
                     &file.rel,
                     line,
-                    "HashMap in a hot-path module — use an interned-symbol dense table".into(),
+                    format!("{name} in a hot-path module — use an interned-symbol dense table"),
                 );
             }
         }
@@ -422,20 +433,30 @@ mod tests {
 
     #[test]
     fn sl0002_fires_only_in_hot_path_files() {
-        let hot = lex(
+        for path in [
             "crates/core/src/stream.rs",
-            false,
-            "use std::collections::HashMap;\n",
-        );
-        let v = ws_run(&[hot]);
-        assert!(ids(&v).contains(&"SL0002"));
+            "crates/automata/src/checks.rs",
+            "crates/core/src/relations.rs",
+        ] {
+            for collection in ["HashMap", "HashSet"] {
+                let hot = lex(
+                    path,
+                    false,
+                    &format!("use std::collections::{collection};\n"),
+                );
+                let v = ws_run(&[hot]);
+                assert!(ids(&v).contains(&"SL0002"), "{collection} in {path}");
+            }
+        }
 
-        let cold = lex(
-            "crates/schema/src/types.rs",
-            false,
-            "use std::collections::HashMap;\n",
-        );
-        assert!(!ids(&ws_run(&[cold])).contains(&"SL0002"));
+        for collection in ["HashMap", "HashSet"] {
+            let cold = lex(
+                "crates/schema/src/types.rs",
+                false,
+                &format!("use std::collections::{collection};\n"),
+            );
+            assert!(!ids(&ws_run(&[cold])).contains(&"SL0002"));
+        }
     }
 
     #[test]
