@@ -72,7 +72,7 @@ pub use script::{
     ChildCheck, FreshCheck, RejectReason, ScriptAnalysis, ScriptSite, ScriptVerdict, SiteDecision,
 };
 pub use stats::{CastOutcome, ValidationStats};
-pub use stream::{validate_xml_stream, StreamScratch, StreamingCast};
+pub use stream::{StreamScratch, StreamingCast};
 pub use witness::{
     reachable_pairs_with_paths, DivergenceKind, PairWitness, ReachablePair, WitnessSynth,
 };

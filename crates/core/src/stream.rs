@@ -567,15 +567,6 @@ enum Entered<'a, 't> {
     Reject,
 }
 
-/// One-call convenience: preprocess nothing, reuse an existing context.
-pub fn validate_xml_stream(
-    ctx: &CastContext<'_>,
-    xml_text: &str,
-    alphabet: &Alphabet,
-) -> Result<(CastOutcome, ValidationStats), XmlError> {
-    StreamingCast::new(ctx).validate_str(xml_text, alphabet)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

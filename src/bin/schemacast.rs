@@ -1,11 +1,11 @@
 //! `schemacast` — command-line schema-cast revalidation.
 //!
 //! ```text
-//! schemacast validate --schema S.xsd doc.xml [doc2.xml ...]
-//! schemacast cast --source S.xsd --target T.xsd [--stream] [--stats] doc.xml ...
-//! schemacast batch --source S.xsd --target T.xsd [--threads N] [--warm-up] doc.xml ...
-//! schemacast batch --source S.xsd --target T.xsd --dir CORPUS/ [--cache verdicts.scvc]
-//! schemacast batch --source S.xsd --target T.xsd --manifest files.txt [--cache ...]
+//! schemacast validate --schema S.xsd DOCS [CORPUS FLAGS]
+//! schemacast cast --source S.xsd --target T.xsd DOCS [CORPUS FLAGS]
+//! schemacast batch --source S.xsd --target T.xsd DOCS [CORPUS FLAGS]
+//!     DOCS:         doc.xml ... | --dir CORPUS/ | --manifest files.txt
+//!     CORPUS FLAGS: [--threads N] [--cache verdicts.scvc] [--warm-up] [--certify] [--stats]
 //! schemacast repair --source S.xsd --target T.xsd --out fixed.xml doc.xml
 //! schemacast inspect --source S.xsd --target T.xsd
 //! schemacast analyze S.xsd Sprime.xsd [--json]
@@ -14,21 +14,26 @@
 //! schemacast chain v1.xsd v2.xsd [v3.xsd ...] [--json | --sarif] [--certify]
 //! ```
 //!
-//! `batch` runs the bounded-memory corpus pipeline whichever way the
-//! documents are named — a positional file list, `--dir`, or `--manifest`:
-//! paths stream through a bounded queue to the workers, documents are
-//! memory-mapped and validated off the tape without ever materializing the
-//! corpus in memory, and per-file read or parse failures become per-item
-//! verdicts (`READ FAILED` / `MALFORMED`, exit 2) instead of aborting the
-//! run.
+//! `validate`, `cast` and `batch` are one command over the bounded-memory
+//! corpus pipeline, and take the same flags. Paths stream through a
+//! bounded queue to the workers, documents are memory-mapped and
+//! validated off the tape without ever building a tree, and per-file read
+//! or parse failures become per-item verdicts (`READ FAILED` /
+//! `MALFORMED`, exit 2) instead of aborting the run.
+//! `cast` and `batch` cast each document from `--source` to `--target`.
+//! `validate --schema S` is a cast from the empty schema to `S`: no source
+//! type subsumes anything, so every element is checked against `S` alone.
+//! A cast's precondition is a source-valid document, so the bytes of a
+//! subsumed subtree are skipped unread; `validate` skips nothing and so
+//! reports every malformed byte.
 //! `--cache PATH` adds the persistent content-hash verdict cache: hits
 //! replay recorded verdicts, and the cache goes cold automatically when
 //! the schema pair, cast options, or computed relations change. With
 //! `--certify`, only entries recorded under the same certified
 //! fingerprint are trusted.
 //!
-//! Schemas ending in `.dtd` are parsed as DTDs (root taken from the first
-//! document's DOCTYPE, or `--root NAME`).
+//! Schemas ending in `.dtd` are parsed as DTDs. `--root NAME` names the
+//! document element; without it every declared element may be the root.
 //!
 //! Every verdict-bearing subcommand shares one exit contract:
 //! **0** = clean (all documents valid / no findings at the gate severity /
@@ -39,19 +44,18 @@
 //!
 //! `certify` emits proof certificates for every static claim of the pair's
 //! preprocessing and validates them with the independent checker (exit 1 if
-//! any fails). `--certify` on `cast` / `batch` / `analyze` / `chain` runs
-//! the same pass before any document is touched and fails closed (exit 2)
-//! unless every claim is certified; on `chain` it adds the composition
-//! certificates (the per-hop tuples behind every composed end-to-end fact).
+//! any fails). `--certify` on `validate` / `cast` / `batch` / `repair` /
+//! `analyze` / `chain` runs the same pass before any document is touched
+//! and fails closed (exit 2) unless every claim is certified; on `chain` it
+//! adds the composition certificates (the per-hop tuples behind every
+//! composed end-to-end fact).
 
 use schemacast::analysis;
 use schemacast::core::certification_digest;
 use schemacast::core::certify::{certify_context, certify_context_with_scripts, CertificationRun};
-use schemacast::core::{
-    certify_chain, CastContext, FullValidator, Repairer, SchemaChain, Severity, StreamingCast,
-};
+use schemacast::core::{certify_chain, CastContext, Repairer, SchemaChain, Severity};
 use schemacast::engine::{BatchEngine, CorpusOptions, CorpusSource, ItemOutcome, VerdictCache};
-use schemacast::schema::{AbstractSchema, SchemaSpans, Session};
+use schemacast::schema::{AbstractSchema, SchemaBuilder, SchemaSpans, Session};
 use schemacast::tree::{Doc, WhitespaceMode};
 use schemacast::xml::parse_document;
 use std::path::{Path, PathBuf};
@@ -68,7 +72,6 @@ struct Options {
     dir: Option<String>,
     manifest: Option<String>,
     cache: Option<String>,
-    stream: bool,
     stats: bool,
     warm_up: bool,
     certify: bool,
@@ -81,14 +84,13 @@ struct Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  schemacast validate --schema S.xsd doc.xml...\n  \
-         schemacast cast --source S.xsd --target T.xsd [--stream] [--stats] [--certify] \
+        "usage:\n  schemacast validate --schema S.xsd DOCS [CORPUS FLAGS]\n  \
+         schemacast cast --source S.xsd --target T.xsd DOCS [CORPUS FLAGS]\n  \
+         schemacast batch --source S.xsd --target T.xsd DOCS [CORPUS FLAGS]\n    \
+         DOCS: doc.xml... | --dir DIR | --manifest FILE\n    \
+         CORPUS FLAGS: [--threads N] [--cache PATH] [--warm-up] [--certify] [--stats]\n  \
+         schemacast repair --source S.xsd --target T.xsd [--out fixed.xml] [--certify] \
          doc.xml...\n  \
-         schemacast batch --source S.xsd --target T.xsd [--threads N] \
-         [--warm-up] [--stats] [--certify] doc.xml...\n  \
-         schemacast batch --source S.xsd --target T.xsd (--dir DIR | --manifest FILE) \
-         [--cache PATH] [--threads N] [--stats] [--certify]\n  \
-         schemacast repair --source S.xsd --target T.xsd [--out fixed.xml] doc.xml\n  \
          schemacast inspect --source S.xsd --target T.xsd\n  \
          schemacast analyze S.xsd Sprime.xsd [--json] [--certify]\n  \
          schemacast analyze S.xsd Sprime.xsd doc.xml --script edits.txt \
@@ -97,7 +99,8 @@ fn usage() -> ExitCode {
          schemacast certify S.xsd Sprime.xsd [--json]\n  \
          schemacast chain v1.xsd v2.xsd [v3.xsd ...] [--json | --sarif] [--certify] \
          [--fail-on warn|error]\n  \
-         (use .dtd schema files with optional --root NAME)"
+         (use .dtd schema files with optional --root NAME; without it every declared \
+         element may be the root)"
     );
     ExitCode::from(2)
 }
@@ -116,7 +119,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         dir: None,
         manifest: None,
         cache: None,
-        stream: false,
         stats: false,
         warm_up: false,
         certify: false,
@@ -143,7 +145,6 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--dir" => opts.dir = args.next(),
             "--manifest" => opts.manifest = args.next(),
             "--cache" => opts.cache = args.next(),
-            "--stream" => opts.stream = true,
             "--stats" => opts.stats = true,
             "--warm-up" => opts.warm_up = true,
             "--certify" => opts.certify = true,
@@ -206,9 +207,9 @@ fn parse_args() -> Result<Options, ExitCode> {
         }
         return Ok(opts);
     }
-    // `batch --dir` / `--manifest` name their corpus via the flag; the
-    // two sources (and a positional file list) are mutually exclusive.
-    if opts.command == "batch" {
+    // The corpus commands name their documents via `--dir`, `--manifest`,
+    // or a positional file list; the three are mutually exclusive.
+    if matches!(opts.command.as_str(), "validate" | "cast" | "batch") {
         let sources = usize::from(opts.dir.is_some())
             + usize::from(opts.manifest.is_some())
             + usize::from(!opts.docs.is_empty());
@@ -242,12 +243,58 @@ fn load_schema(
     }
 }
 
-fn load_doc(path: &str, session: &mut Session) -> Result<(Doc, String), String> {
+/// Loads the (source, target) schema pair a command works on: the first
+/// two positionals for `analyze` and `certify`, the empty schema and
+/// `--schema` for `validate`, and `--source` and `--target` otherwise. A
+/// missing flag is a usage error; a schema that cannot be read or parsed
+/// is reported and exits 2.
+fn load_pair(
+    opts: &Options,
+    session: &mut Session,
+) -> Result<(AbstractSchema, AbstractSchema), ExitCode> {
+    let (source, target) = match opts.command.as_str() {
+        "analyze" | "certify" => (Some(opts.docs[0].as_str()), opts.docs[1].as_str()),
+        "validate" => {
+            let Some(schema) = opts.schema.as_deref() else {
+                eprintln!("validate requires --schema");
+                return Err(usage());
+            };
+            (None, schema)
+        }
+        _ => {
+            let (Some(source), Some(target)) = (opts.source.as_deref(), opts.target.as_deref())
+            else {
+                eprintln!("{} requires --source and --target", opts.command);
+                return Err(usage());
+            };
+            (Some(source), target)
+        }
+    };
+    let failed = |e: String| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    };
+    let root = opts.root.as_deref();
+    let source = match source {
+        Some(path) => load_schema(path, root, session),
+        None => SchemaBuilder::new(&mut session.alphabet)
+            .finish()
+            .map_err(|e| e.to_string()),
+    }
+    .map_err(failed)?;
+    let target = load_schema(target, root, session).map_err(failed)?;
+    Ok((source, target))
+}
+
+/// Parses one document into a tree, for the commands that edit or address
+/// its nodes (`repair`, `analyze --script`).
+fn load_doc(path: &str, session: &mut Session) -> Result<Doc, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let xml = parse_document(&text).map_err(|e| format!("{path}: {e}"))?;
-    Ok((
-        Doc::from_xml(&xml.root, &mut session.alphabet, WhitespaceMode::Trim),
-        text,
+    Ok(Doc::from_xml(
+        &xml.root,
+        &mut session.alphabet,
+        WhitespaceMode::Trim,
     ))
 }
 
@@ -270,67 +317,30 @@ fn certify_gate(ctx: &CastContext<'_>) -> Result<CertificationRun, ExitCode> {
     }
 }
 
+/// The document commands' exit code: 2 when some input got no verdict,
+/// otherwise 1 when some document is invalid, otherwise 0.
+fn exit_code(any_invalid: bool, any_failed: bool) -> ExitCode {
+    if any_failed {
+        ExitCode::from(2)
+    } else if any_invalid {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(code) => return code,
     };
     let mut session = Session::new();
-    let mut any_invalid = false;
 
     match opts.command.as_str() {
-        "validate" => {
-            let Some(schema_path) = opts.schema.as_deref() else {
-                eprintln!("validate requires --schema");
-                return usage();
-            };
-            let schema = match load_schema(schema_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let validator = FullValidator::new(&schema);
-            for path in &opts.docs {
-                match load_doc(path, &mut session) {
-                    Ok((doc, _)) => {
-                        let (out, stats) = validator.validate_with_stats(&doc);
-                        println!(
-                            "{path}: {}",
-                            if out.is_valid() { "valid" } else { "INVALID" }
-                        );
-                        if opts.stats {
-                            println!("  nodes visited: {}", stats.nodes_visited);
-                        }
-                        any_invalid |= !out.is_valid();
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-        }
         "inspect" => {
-            let (Some(src_path), Some(tgt_path)) = (opts.source.as_deref(), opts.target.as_deref())
-            else {
-                eprintln!("inspect requires --source and --target");
-                return usage();
-            };
-            let source = match load_schema(src_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let target = match load_schema(tgt_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
+            let (source, target) = match load_pair(&opts, &mut session) {
+                Ok(pair) => pair,
+                Err(code) => return code,
             };
             let ctx = CastContext::new(&source, &target, &session.alphabet);
             let rel = ctx.relations();
@@ -362,31 +372,16 @@ fn main() -> ExitCode {
                 };
                 println!("{:<28} {:<28} {}", name, target.type_name(t_id), relation);
             }
-            return ExitCode::SUCCESS;
+            ExitCode::SUCCESS
         }
-        "batch" => {
-            let (Some(src_path), Some(tgt_path)) = (opts.source.as_deref(), opts.target.as_deref())
-            else {
-                eprintln!("batch requires --source and --target");
-                return usage();
+        // Every document verdict comes from the streaming corpus pipeline,
+        // so memory depends on the schemas rather than the documents, and
+        // every file gets its own verdict line.
+        "validate" | "cast" | "batch" => {
+            let (source, target) = match load_pair(&opts, &mut session) {
+                Ok(pair) => pair,
+                Err(code) => return code,
             };
-            let source = match load_schema(src_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let target = match load_schema(tgt_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            // Every document batch runs the streaming corpus pipeline:
-            // bounded memory, mmap'd documents, and per-file read or parse
-            // failures as per-item verdicts.
             let corpus = if let Some(dir) = &opts.dir {
                 CorpusSource::Dir(PathBuf::from(dir))
             } else if let Some(man) = &opts.manifest {
@@ -428,7 +423,7 @@ fn main() -> ExitCode {
             ) {
                 Ok(r) => r,
                 Err(e) => {
-                    eprintln!("batch: {e}");
+                    eprintln!("{}: {e}", opts.command);
                     return ExitCode::from(2);
                 }
             };
@@ -440,28 +435,23 @@ fn main() -> ExitCode {
             if let Some(run) = &cert_run {
                 report.totals += run.stats();
             }
-            let mut any_malformed = false;
             for item in &report.items {
                 let path = item.path.display();
                 match &item.outcome {
                     ItemOutcome::Valid => println!("{path}: valid"),
                     ItemOutcome::Invalid | ItemOutcome::ChainBroken { .. } => {
                         println!("{path}: INVALID");
-                        any_invalid = true;
                     }
-                    ItemOutcome::MalformedXml(e) => {
-                        println!("{path}: MALFORMED ({e})");
-                        any_malformed = true;
-                    }
+                    ItemOutcome::MalformedXml(e) => println!("{path}: MALFORMED ({e})"),
                     ItemOutcome::ReadFailed(e) | ItemOutcome::EditFailed(e) => {
                         println!("{path}: READ FAILED ({e})");
-                        any_malformed = true;
                     }
                 }
             }
             println!(
-                "batch: {} doc(s) on {} worker(s) in {:.1?}  ({:.0} docs/sec)  \
+                "{}: {} doc(s) on {} worker(s) in {:.1?}  ({:.0} docs/sec)  \
                  valid {} / invalid {} / malformed {} / read-failed {}",
+                opts.command,
                 report.items.len(),
                 report.workers,
                 report.elapsed,
@@ -507,126 +497,68 @@ fn main() -> ExitCode {
                     );
                 }
             }
-            if any_malformed {
-                return ExitCode::from(2);
-            }
+            // Every item that is neither valid nor invalid never got a verdict.
+            exit_code(
+                report.invalid > 0,
+                report.valid + report.invalid < report.items.len(),
+            )
         }
-        "cast" | "repair" => {
-            let (Some(src_path), Some(tgt_path)) = (opts.source.as_deref(), opts.target.as_deref())
-            else {
-                eprintln!("{} requires --source and --target", opts.command);
-                return usage();
+        "repair" => {
+            let (source, target) = match load_pair(&opts, &mut session) {
+                Ok(pair) => pair,
+                Err(code) => return code,
             };
-            let source = match load_schema(src_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let target = match load_schema(tgt_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            // Documents must be loaded (or at least alphabet-interned)
-            // against the shared alphabet; for streaming we hold the text.
-            let mut loaded = Vec::new();
-            for path in &opts.docs {
-                match load_doc(path, &mut session) {
-                    Ok(pair) => loaded.push((path.clone(), pair)),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             let ctx = CastContext::new(&source, &target, &session.alphabet);
-            let cert_run = if opts.certify {
+            if opts.certify {
                 match certify_gate(&ctx) {
-                    Ok(run) => Some(run),
+                    Ok(run) if opts.stats => println!(
+                        "certificates: {} emitted, {} checked in {} us",
+                        run.certs_emitted, run.certs_checked, run.check_micros
+                    ),
+                    Ok(_) => {}
                     Err(code) => return code,
                 }
-            } else {
-                None
-            };
-            if let (true, Some(run)) = (opts.stats, &cert_run) {
-                println!(
-                    "certificates: {} emitted, {} checked in {} us",
-                    run.certs_emitted, run.certs_checked, run.check_micros
-                );
             }
-            if opts.command == "repair" {
-                let repairer = Repairer::new(&ctx, &session.alphabet);
-                for (path, (doc, _)) in &loaded {
-                    match repairer.repair(doc) {
-                        Ok((fixed, actions)) => {
-                            println!("{path}: {} change(s)", actions.len());
-                            for a in &actions {
-                                println!("  {a}");
-                            }
-                            let xml_out =
-                                schemacast::xml::to_pretty_string(&fixed.to_xml(&session.alphabet));
-                            match opts.out.as_deref() {
-                                Some(out_path) => {
-                                    if let Err(e) = std::fs::write(out_path, xml_out) {
-                                        eprintln!("cannot write {out_path}: {e}");
-                                        return ExitCode::from(2);
-                                    }
-                                    println!("  wrote {out_path}");
+            // One document at a time: a file that cannot be read or parsed
+            // gets its own error line, and the rest are still repaired. The
+            // repairer borrows the alphabet each load extends, so it is
+            // built per document.
+            let (mut any_invalid, mut any_failed) = (false, false);
+            for path in &opts.docs {
+                let doc = match load_doc(path, &mut session) {
+                    Ok(doc) => doc,
+                    Err(e) => {
+                        eprintln!("{e}");
+                        any_failed = true;
+                        continue;
+                    }
+                };
+                match Repairer::new(&ctx, &session.alphabet).repair(&doc) {
+                    Ok((fixed, actions)) => {
+                        println!("{path}: {} change(s)", actions.len());
+                        for a in &actions {
+                            println!("  {a}");
+                        }
+                        let xml_out =
+                            schemacast::xml::to_pretty_string(&fixed.to_xml(&session.alphabet));
+                        match opts.out.as_deref() {
+                            Some(out_path) => {
+                                if let Err(e) = std::fs::write(out_path, xml_out) {
+                                    eprintln!("cannot write {out_path}: {e}");
+                                    return ExitCode::from(2);
                                 }
-                                None => print!("{xml_out}"),
+                                println!("  wrote {out_path}");
                             }
-                        }
-                        Err(e) => {
-                            eprintln!("{path}: unrepairable: {e}");
-                            any_invalid = true;
+                            None => print!("{xml_out}"),
                         }
                     }
-                }
-            } else {
-                for (path, (doc, text)) in &loaded {
-                    let (out, stats) = if opts.stream {
-                        match StreamingCast::new(&ctx).validate_str(text, &session.alphabet) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                eprintln!("{path}: {e}");
-                                return ExitCode::from(2);
-                            }
-                        }
-                    } else {
-                        ctx.validate_with_stats(doc)
-                    };
-                    println!(
-                        "{path}: {}",
-                        if out.is_valid() { "valid" } else { "INVALID" }
-                    );
-                    if opts.stats {
-                        println!(
-                            "  nodes visited: {} / {}   subsumed skips: {}   value checks: {}",
-                            stats.nodes_visited,
-                            doc.node_count(),
-                            stats.subsumed_skips,
-                            stats.value_checks
-                        );
-                        if opts.stream {
-                            println!(
-                                "  bytes skipped lexically: {} / {}   tag events avoided: {}",
-                                stats.bytes_skipped,
-                                text.len(),
-                                stats.events_avoided
-                            );
-                            println!(
-                                "  tape events: {}   tape skip hops: {}   index build: {} us",
-                                stats.tape_events, stats.tape_skip_hops, stats.index_build_micros
-                            );
-                        }
+                    Err(e) => {
+                        eprintln!("{path}: unrepairable: {e}");
+                        any_invalid = true;
                     }
-                    any_invalid |= !out.is_valid();
                 }
             }
+            exit_code(any_invalid, any_failed)
         }
         "lint" => {
             // Parse every schema and keep the raw text: the span scanner
@@ -685,31 +617,20 @@ fn main() -> ExitCode {
                 Some("warn") => Severity::Warning,
                 _ => Severity::Error,
             };
-            return if report.fails(threshold) {
+            if report.fails(threshold) {
                 ExitCode::from(1)
             } else {
                 ExitCode::SUCCESS
-            };
+            }
         }
         "analyze" => {
-            let (src_path, tgt_path) = (&opts.docs[0], &opts.docs[1]);
-            let source = match load_schema(src_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let target = match load_schema(tgt_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
+            let (source, target) = match load_pair(&opts, &mut session) {
+                Ok(pair) => pair,
+                Err(code) => return code,
             };
             if let Some(script_path) = &opts.script {
                 // Whole-script mode: judge one (document, edit script) pair.
-                let (doc, _) = match load_doc(&opts.docs[2], &mut session) {
+                let doc = match load_doc(&opts.docs[2], &mut session) {
                     Ok(d) => d,
                     Err(e) => {
                         eprintln!("{e}");
@@ -735,7 +656,10 @@ fn main() -> ExitCode {
                 };
                 let ctx = CastContext::new(&source, &target, &session.alphabet);
                 if !source.accepts_document(&doc) {
-                    eprintln!("{}: document is not valid against {src_path}", opts.docs[2]);
+                    eprintln!(
+                        "{}: document is not valid against {}",
+                        opts.docs[2], opts.docs[0]
+                    );
                     return ExitCode::from(2);
                 }
                 if opts.certify {
@@ -782,27 +706,16 @@ fn main() -> ExitCode {
             // Exit contract: 0 only when the evolution is fully
             // subsumption-stable (nothing changed, went disjoint, or was
             // removed) — the same gate shape as `lint --fail-on error`.
-            return if report.is_stable() {
+            if report.is_stable() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)
-            };
+            }
         }
         "certify" => {
-            let (src_path, tgt_path) = (&opts.docs[0], &opts.docs[1]);
-            let source = match load_schema(src_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let target = match load_schema(tgt_path, opts.root.as_deref(), &mut session) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
+            let (source, target) = match load_pair(&opts, &mut session) {
+                Ok(pair) => pair,
+                Err(code) => return code,
             };
             let ctx = CastContext::new(&source, &target, &session.alphabet);
             let run = certify_context(&ctx);
@@ -811,11 +724,11 @@ fn main() -> ExitCode {
             } else {
                 print!("{}", analysis::render_certify_text(&run));
             }
-            return if run.all_certified() {
+            if run.all_certified() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)
-            };
+            }
         }
         "chain" => {
             let mut schemas = Vec::with_capacity(opts.docs.len());
@@ -863,20 +776,15 @@ fn main() -> ExitCode {
                 Some("warn") => Severity::Warning,
                 _ => Severity::Error,
             };
-            return if report.lint.fails(threshold) {
+            if report.lint.fails(threshold) {
                 ExitCode::from(1)
             } else {
                 ExitCode::SUCCESS
-            };
+            }
         }
         other => {
             eprintln!("unknown command {other:?}");
-            return usage();
+            usage()
         }
-    }
-    if any_invalid {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
     }
 }

@@ -1,12 +1,15 @@
 //! Property test: the streaming validator agrees with the tree validator
 //! (and with ground truth) on serialized random documents — connecting the
-//! pull parser, the serializer, and the O(depth)-memory cast path.
+//! pull parser, the serializer, and the O(depth)-memory cast path. Cast
+//! from the empty schema, the stream must also agree with full validation
+//! against the target: that is how `schemacast validate` runs.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use schemacast::core::{CastContext, StreamingCast};
+use schemacast::core::{CastContext, FullValidator, StreamingCast};
 use schemacast::regex::Alphabet;
+use schemacast::schema::SchemaBuilder;
 use schemacast::tree::{Doc, WhitespaceMode};
 use schemacast::workload::synth::{random_schema, sample_document, SynthConfig};
 
@@ -32,6 +35,7 @@ proptest! {
         let Some(doc) = sample_document(&source, &mut ab, &mut doc_rng, 5) else {
             return Ok(());
         };
+        let empty = SchemaBuilder::new(&mut ab).finish().expect("empty schema");
 
         // Serialize (both compact and pretty — the pretty form adds
         // ignorable whitespace the streaming validator must skip).
@@ -53,5 +57,17 @@ proptest! {
         let reparsed = schemacast::xml::parse_document(&compact).expect("parse");
         let doc2 = Doc::from_xml(&reparsed.root, &mut ab, WhitespaceMode::Trim);
         prop_assert_eq!(ctx.validate(&doc2).is_valid(), want, "reparsed tree");
+
+        // `validate --schema T` is the cast from the empty schema to T: no
+        // source type subsumes anything, so the stream checks every element
+        // against T alone and must agree with full validation.
+        let full = FullValidator::new(&target).validate(&doc).is_valid();
+        prop_assert_eq!(full, want, "full validation");
+        let from_empty = CastContext::new(&empty, &target, &ab);
+        let sc = StreamingCast::new(&from_empty);
+        for (form, text) in [("compact", &compact), ("pretty", &pretty)] {
+            let (out, _) = sc.validate_str(text, &ab).expect("well-formed");
+            prop_assert_eq!(out.is_valid(), want, "{} form from the empty schema", form);
+        }
     }
 }
