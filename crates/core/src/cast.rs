@@ -11,14 +11,25 @@
 //! At runtime, [`CastContext::validate`] walks the document validating
 //! against both schemas in parallel, skipping every subtree whose type pair
 //! is subsumed and failing fast on disjoint pairs.
+//!
+//! That walk, `Walk`, is the crate's one tree walk: every validator that
+//! checks the elements of a [`Doc`] runs it. [`FullValidator`] is the walk
+//! with no source side (Definition 1), [`DtdCastValidator`] runs its
+//! per-element step on indexed nodes, [`explain`] reports the element it
+//! stops at, and [`ModsValidator`] hands it every untouched or inserted
+//! subtree.
+//!
+//! [`FullValidator`]: crate::FullValidator
+//! [`DtdCastValidator`]: crate::DtdCastValidator
+//! [`explain`]: crate::explain()
+//! [`ModsValidator`]: crate::ModsValidator
 
-use crate::full::{validate_simple_content, FullValidator};
 use crate::idacache::{ShardedCache, ShardedIdaCache};
 use crate::relations::TypeRelations;
 use crate::safety::{Exemptions, PairSafety};
 use crate::stats::{CastOutcome, ValidationStats};
 use loomlite::sync::Arc;
-use schemacast_automata::{IdaOutcome, ProductIda};
+use schemacast_automata::{Dfa, ProductIda, StringCast};
 use schemacast_regex::{Alphabet, Sym};
 use schemacast_schema::{AbstractSchema, ComplexType, TypeDef, TypeId};
 use schemacast_tree::{Doc, NodeId};
@@ -67,9 +78,9 @@ impl CastOptions {
 
 /// A preprocessed schema pair, ready to revalidate many documents.
 ///
-/// A `&CastContext` is `Sync`: the lazily filled IDA cache is sharded and
-/// never holds a lock while constructing an automaton, so worker threads
-/// validating different documents (the batch engine's shape) do not
+/// A `&CastContext` is `Sync`: the lazily filled per-pair caches are
+/// sharded and never hold a lock while constructing an automaton, so worker
+/// threads validating different documents (the batch engine's shape) do not
 /// serialize behind each other.
 pub struct CastContext<'a> {
     source: &'a AbstractSchema,
@@ -77,6 +88,9 @@ pub struct CastContext<'a> {
     relations: TypeRelations,
     options: CastOptions,
     ida_cache: ShardedIdaCache,
+    /// Per type pair: the string-cast machinery (with reverse automata)
+    /// that revalidates edited child lists (§4.3).
+    string_casts: ShardedCache<StringCast>,
     /// Interned static edit-safety analyses, cached per type pair alongside
     /// the IDA cache (same sharded publish-once discipline).
     pub(crate) safety_cache: ShardedCache<PairSafety>,
@@ -106,6 +120,7 @@ impl<'a> CastContext<'a> {
             relations,
             options,
             ida_cache: ShardedIdaCache::new(),
+            string_casts: ShardedCache::new(),
             safety_cache: ShardedCache::new(),
         }
     }
@@ -147,172 +162,12 @@ impl<'a> CastContext<'a> {
         let Some(label) = doc.label(root) else {
             return (CastOutcome::Invalid, stats);
         };
-        let Some(tgt_type) = self.target.root_type(label) else {
+        let Some(tgt) = self.target.root_type(label) else {
             return (CastOutcome::Invalid, stats);
         };
-        let ok = match self.source.root_type(label) {
-            Some(src_type) => self.cast_validate(doc, root, src_type, tgt_type, &mut stats),
-            None => {
-                stats.full_validations += 1;
-                FullValidator::new(self.target).validate_node(doc, root, tgt_type, &mut stats)
-            }
-        };
-        (CastOutcome::from_bool(ok), stats)
-    }
-
-    /// The `validate(τ, τ', e)` of §3.2, implemented with an explicit work
-    /// stack so that document depth never consumes call-stack frames.
-    pub(crate) fn cast_validate(
-        &self,
-        doc: &Doc,
-        node: NodeId,
-        src: TypeId,
-        tgt: TypeId,
-        stats: &mut ValidationStats,
-    ) -> bool {
-        self.cast_validate_inner(doc, node, src, tgt, stats, None)
-    }
-
-    /// [`CastContext::cast_validate`] with exemption sets from the static
-    /// update-safety analyzer: `skip` subtrees are counted valid without
-    /// inspection (the analyzer proved every edited site subtree
-    /// target-valid), and `unpruned` nodes — the root→site ancestor paths —
-    /// run with subsumption skips *and* disjointness rejects disabled,
-    /// because their subtrees contain an edit and are therefore not
-    /// source-valid, which is the precondition both prunings rest on.
-    /// Content-model checks on unpruned nodes are still sound: an ancestor's
-    /// own child word is untouched by edits below it.
-    pub(crate) fn cast_validate_exempt(
-        &self,
-        doc: &Doc,
-        node: NodeId,
-        src: TypeId,
-        tgt: TypeId,
-        stats: &mut ValidationStats,
-        exemptions: &Exemptions,
-    ) -> bool {
-        self.cast_validate_inner(doc, node, src, tgt, stats, Some(exemptions))
-    }
-
-    fn cast_validate_inner(
-        &self,
-        doc: &Doc,
-        node: NodeId,
-        src: TypeId,
-        tgt: TypeId,
-        stats: &mut ValidationStats,
-        exemptions: Option<&Exemptions>,
-    ) -> bool {
-        enum Work {
-            /// Parallel validation against both schemas.
-            Cast(NodeId, TypeId, TypeId),
-            /// Target-only validation (source typing unavailable).
-            Full(NodeId, TypeId),
-        }
-        let mut work: Vec<Work> = vec![Work::Cast(node, src, tgt)];
-        while let Some(item) = work.pop() {
-            let (node, src, tgt) = match item {
-                Work::Full(node, tgt) => {
-                    stats.full_validations += 1;
-                    if !FullValidator::new(self.target).validate_node(doc, node, tgt, stats) {
-                        return false;
-                    }
-                    continue;
-                }
-                Work::Cast(node, src, tgt) => (node, src, tgt),
-            };
-            if let Some(ex) = exemptions {
-                if ex.skip.contains(&node) {
-                    continue;
-                }
-            }
-            stats.nodes_visited += 1;
-            let prune = exemptions.is_none_or(|ex| !ex.unpruned.contains(&node));
-            if prune && self.options.use_subsumption && self.relations.subsumed(src, tgt) {
-                stats.subsumed_skips += 1;
-                continue;
-            }
-            if prune && self.options.use_disjointness && self.relations.disjoint(src, tgt) {
-                stats.disjoint_rejects += 1;
-                return false;
-            }
-            match self.target.type_def(tgt) {
-                TypeDef::Simple(s) => {
-                    stats.value_checks += 1;
-                    if !validate_simple_content(doc, node, |text| s.validate(text), stats) {
-                        return false;
-                    }
-                }
-                TypeDef::Complex(c_tgt) => {
-                    let mut labels: Vec<Sym> = Vec::new();
-                    for child in doc.validation_children(node) {
-                        match doc.label(child) {
-                            Some(l) => labels.push(l),
-                            None => return false,
-                        }
-                    }
-                    let src_complex = self.source.type_def(src).as_complex();
-                    if !self.check_content(src_complex, c_tgt, src, tgt, &labels, stats) {
-                        return false;
-                    }
-                    let children: Vec<NodeId> = doc.validation_children(node).collect();
-                    // Push in reverse so children are processed in order.
-                    for (child, &label) in children.iter().zip(labels.iter()).rev() {
-                        let Some(child_tgt) = c_tgt.child_type(label) else {
-                            return false;
-                        };
-                        match src_complex.and_then(|c| c.child_type(label)) {
-                            Some(child_src) => {
-                                work.push(Work::Cast(*child, child_src, child_tgt));
-                            }
-                            None => {
-                                // No source typing for this child
-                                // (precondition violated or source simple).
-                                work.push(Work::Full(*child, child_tgt));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Content-model membership of the children labels, via the product IDA
-    /// (knowing the string is in the source content model) or the plain
-    /// target DFA.
-    fn check_content(
-        &self,
-        src_complex: Option<&ComplexType>,
-        tgt: &ComplexType,
-        src_id: TypeId,
-        tgt_id: TypeId,
-        labels: &[Sym],
-        stats: &mut ValidationStats,
-    ) -> bool {
-        if self.options.use_ida {
-            if let Some(_src) = src_complex {
-                let ida = self.product_ida(src_id, tgt_id);
-                let out = ida.run(labels);
-                stats.content_symbols_scanned += out.consumed();
-                match out {
-                    IdaOutcome::Accept { early, .. } => {
-                        if early {
-                            stats.ida_early_accepts += 1;
-                        }
-                        return true;
-                    }
-                    IdaOutcome::Reject { early, .. } => {
-                        if early {
-                            stats.ida_early_rejects += 1;
-                        }
-                        return false;
-                    }
-                }
-            }
-        }
-        stats.content_symbols_scanned += labels.len();
-        tgt.dfa.accepts(labels)
+        let src = self.source.root_type(label);
+        let ok = Walk::cast(self).run(doc, root, src, tgt, &mut stats);
+        (CastOutcome::from_bool(ok.is_ok()), stats)
     }
 
     /// The cached product IDA for a (source, target) complex type pair.
@@ -321,20 +176,27 @@ impl<'a> CastContext<'a> {
     /// racing callers all receive clones of the single published `Arc`.
     pub fn product_ida(&self, src: TypeId, tgt: TypeId) -> Arc<ProductIda> {
         self.ida_cache.get_or_insert_with((src, tgt), || {
-            let a = &self
-                .source
-                .type_def(src)
-                .as_complex()
-                .expect("product IDA requires complex source")
-                .dfa;
-            let b = &self
-                .target
-                .type_def(tgt)
-                .as_complex()
-                .expect("product IDA requires complex target")
-                .dfa;
+            let (a, b) = self.content_dfas(src, tgt);
             ProductIda::new(a, b)
         })
+    }
+
+    /// The cached string cast with reverse automata for a (source, target)
+    /// complex type pair: revalidates a child list after edits (§4.3).
+    pub(crate) fn string_cast(&self, src: TypeId, tgt: TypeId) -> Arc<StringCast> {
+        self.string_casts.get_or_insert_with((src, tgt), || {
+            let (a, b) = self.content_dfas(src, tgt);
+            StringCast::new(a.clone(), b.clone()).with_reverse()
+        })
+    }
+
+    /// The content DFAs of a (source, target) complex type pair.
+    fn content_dfas(&self, src: TypeId, tgt: TypeId) -> (&Dfa, &Dfa) {
+        let pair = self.source.type_def(src).as_complex();
+        let (a, b) = pair
+            .zip(self.target.type_def(tgt).as_complex())
+            .expect("content automata require a complex type pair");
+        (&a.dfa, &b.dfa)
     }
 
     /// Number of product IDAs currently cached.
@@ -397,6 +259,224 @@ impl<'a> CastContext<'a> {
             let _ = self.product_ida(s, t);
         }
         pairs.len()
+    }
+}
+
+/// Why the walk rejected an element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reason {
+    /// The element's (source, target) type pair is in `R_dis`.
+    Disjoint,
+    /// A simple type whose content is not a single text node (or nothing).
+    NotSimpleContent,
+    /// A simple value the target simple type does not admit.
+    InvalidValue,
+    /// Character data among the children of a complex type.
+    TextInElementContent,
+    /// A child word outside the target content model, or a child label
+    /// the target types nowhere.
+    ContentModel,
+}
+
+/// The element a walk stopped at: the node, its type pair and the reason.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rejection {
+    pub(crate) node: NodeId,
+    pub(crate) src: Option<TypeId>,
+    pub(crate) tgt: TypeId,
+    pub(crate) reason: Reason,
+}
+
+/// The §3.2 `validate(τ, τ', e)` walk over a [`Doc`], with an explicit work
+/// stack so that document depth never consumes call-stack frames.
+///
+/// An element with a source type is skipped when its pair is in `R_sub`
+/// and rejected when it is in `R_dis` (as [`CastOptions`] allow); every
+/// other element gets the per-element step [`Walk::check_element`], and
+/// its children are typed and pushed. An element the source does not type
+/// starts a full validation of its subtree (counted in
+/// [`ValidationStats::full_validations`] when the walk has a source side).
+pub(crate) struct Walk<'w> {
+    target: &'w AbstractSchema,
+    /// The schema pair, when elements carry source types; `None` is full
+    /// validation against `target` alone.
+    cast: Option<&'w CastContext<'w>>,
+    /// Edit sites and their ancestors, for the static edit tiers.
+    exemptions: Option<&'w Exemptions>,
+}
+
+impl<'w> Walk<'w> {
+    /// Full validation against one schema (Definition 1).
+    pub(crate) fn full(target: &'w AbstractSchema) -> Walk<'w> {
+        Walk {
+            target,
+            cast: None,
+            exemptions: None,
+        }
+    }
+
+    /// Schema-cast validation over a preprocessed pair.
+    pub(crate) fn cast(ctx: &'w CastContext<'w>) -> Walk<'w> {
+        Walk {
+            target: ctx.target,
+            cast: Some(ctx),
+            exemptions: None,
+        }
+    }
+
+    /// [`Walk::cast`] with exemption sets from the static update-safety
+    /// analyzer: `skip` subtrees are counted valid without inspection (the
+    /// analyzer proved every edited site subtree target-valid), and
+    /// `unpruned` nodes — the root→site ancestor paths — run with
+    /// subsumption skips *and* disjointness rejects disabled, because their
+    /// subtrees contain an edit and are therefore not source-valid, which
+    /// is the precondition both prunings rest on. Content-model checks on
+    /// unpruned nodes are still sound: an ancestor's own child word is
+    /// untouched by edits below it.
+    pub(crate) fn exempt(ctx: &'w CastContext<'w>, exemptions: &'w Exemptions) -> Walk<'w> {
+        Walk {
+            exemptions: Some(exemptions),
+            ..Walk::cast(ctx)
+        }
+    }
+
+    /// Validates the subtree at `node` with source type `src` (none where
+    /// the source schema does not type it) and target type `tgt`.
+    pub(crate) fn run(
+        &self,
+        doc: &Doc,
+        node: NodeId,
+        src: Option<TypeId>,
+        tgt: TypeId,
+        stats: &mut ValidationStats,
+    ) -> Result<(), Rejection> {
+        // (node, source type, target type, whether a full validation
+        // starts here), children in document order on top.
+        let mut work = vec![(node, src, tgt, src.is_none() && self.cast.is_some())];
+        let mut labels: Vec<Sym> = Vec::new();
+        while let Some((node, src, tgt, full_root)) = work.pop() {
+            if self.exemptions.is_some_and(|ex| ex.skip.contains(&node)) {
+                continue;
+            }
+            stats.nodes_visited += 1;
+            stats.full_validations += usize::from(full_root);
+            let reject = |reason| Rejection {
+                node,
+                src,
+                tgt,
+                reason,
+            };
+            if let (Some(cx), Some(s)) = (self.cast, src) {
+                let prune = self
+                    .exemptions
+                    .is_none_or(|ex| !ex.unpruned.contains(&node));
+                if prune && cx.options.use_subsumption && cx.relations.subsumed(s, tgt) {
+                    stats.subsumed_skips += 1;
+                    continue;
+                }
+                if prune && cx.options.use_disjointness && cx.relations.disjoint(s, tgt) {
+                    stats.disjoint_rejects += 1;
+                    return Err(reject(Reason::Disjoint));
+                }
+            }
+            let Some(c_tgt) = self
+                .check_element(doc, node, src, tgt, &mut labels, stats)
+                .map_err(reject)?
+            else {
+                continue;
+            };
+            let src_cx = self.source_complex(src);
+            let base = work.len();
+            for (child, &label) in doc.validation_children(node).zip(&labels) {
+                let Some(child_tgt) = c_tgt.child_type_dense(label) else {
+                    return Err(reject(Reason::ContentModel));
+                };
+                let child_src = src_cx.and_then(|c| c.child_type_dense(label));
+                work.push((
+                    child,
+                    child_src,
+                    child_tgt,
+                    src.is_some() && child_src.is_none(),
+                ));
+            }
+            work[base..].reverse();
+        }
+        Ok(())
+    }
+
+    /// The per-element step: checks `node`'s own content against `tgt`,
+    /// not its descendants. A simple type checks the value. A complex type
+    /// checks the child word, left in `labels`: through the product IDA
+    /// when the source side is complex and [`CastOptions::use_ida`] is set,
+    /// otherwise through the target DFA. Returns the complex target type,
+    /// whose children the caller may type next.
+    pub(crate) fn check_element(
+        &self,
+        doc: &Doc,
+        node: NodeId,
+        src: Option<TypeId>,
+        tgt: TypeId,
+        labels: &mut Vec<Sym>,
+        stats: &mut ValidationStats,
+    ) -> Result<Option<&'w ComplexType>, Reason> {
+        let c_tgt = match self.target.type_def(tgt) {
+            TypeDef::Simple(simple) => {
+                stats.value_checks += 1;
+                let mut children = doc.validation_children(node);
+                let value = match (children.next(), children.next()) {
+                    (None, _) => "",
+                    (Some(only), None) => {
+                        stats.nodes_visited += 1;
+                        doc.text(only).ok_or(Reason::NotSimpleContent)?
+                    }
+                    (Some(_), Some(_)) => return Err(Reason::NotSimpleContent),
+                };
+                return if simple.validate(value) {
+                    Ok(None)
+                } else {
+                    Err(Reason::InvalidValue)
+                };
+            }
+            TypeDef::Complex(c) => c,
+        };
+        labels.clear();
+        for child in doc.validation_children(node) {
+            labels.push(doc.label(child).ok_or(Reason::TextInElementContent)?);
+        }
+        let ida = match (self.cast, src) {
+            (Some(cx), Some(s)) if cx.options.use_ida && self.source_complex(src).is_some() => {
+                Some(cx.product_ida(s, tgt))
+            }
+            _ => None,
+        };
+        let accepted = match ida {
+            Some(ida) => {
+                let out = ida.run(labels);
+                stats.content_symbols_scanned += out.consumed();
+                let early = usize::from(out.early());
+                if out.accepted() {
+                    stats.ida_early_accepts += early;
+                } else {
+                    stats.ida_early_rejects += early;
+                }
+                out.accepted()
+            }
+            None => {
+                stats.content_symbols_scanned += labels.len();
+                c_tgt.dfa.accepts(labels)
+            }
+        };
+        if accepted {
+            Ok(Some(c_tgt))
+        } else {
+            Err(Reason::ContentModel)
+        }
+    }
+
+    /// The complex source type behind `src`, if the walk has a source side.
+    fn source_complex(&self, src: Option<TypeId>) -> Option<&'w ComplexType> {
+        let (cx, s) = self.cast.zip(src)?;
+        cx.source.type_def(s).as_complex()
     }
 }
 

@@ -7,11 +7,10 @@
 //! *immediate* content model checked — each element's descendants are
 //! covered by their own labels' verdicts.
 
-use crate::cast::CastContext;
+use crate::cast::{CastContext, Walk};
 use crate::stats::{CastOutcome, ValidationStats};
-use schemacast_automata::IdaOutcome;
 use schemacast_regex::Sym;
-use schemacast_schema::{TypeDef, TypeId};
+use schemacast_schema::TypeId;
 use schemacast_tree::{Doc, NodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -158,6 +157,10 @@ impl<'a, 'b> DtdCastValidator<'a, 'b> {
         if self.ctx.target().root_type(root_label).is_none() {
             return (CastOutcome::Invalid, stats);
         }
+        // Each indexed element gets the tree walk's per-element step: its
+        // descendants are covered by their own labels' plans.
+        let walk = Walk::cast(self.ctx);
+        let mut labels: Vec<Sym> = Vec::new();
         for label in index.labels() {
             match self.plan.get(&label) {
                 None | Some(LabelPlan::RejectIfPresent) => {
@@ -169,9 +172,12 @@ impl<'a, 'b> DtdCastValidator<'a, 'b> {
                 Some(LabelPlan::Skip) => {
                     stats.subsumed_skips += 1;
                 }
-                Some(LabelPlan::CheckContent { source, target }) => {
+                Some(&LabelPlan::CheckContent { source, target }) => {
                     for &node in index.nodes(label) {
-                        if !self.check_node(doc, node, *source, *target, &mut stats) {
+                        stats.nodes_visited += 1;
+                        let checked =
+                            walk.check_element(doc, node, source, target, &mut labels, &mut stats);
+                        if checked.is_err() {
                             return (CastOutcome::Invalid, stats);
                         }
                     }
@@ -179,57 +185,6 @@ impl<'a, 'b> DtdCastValidator<'a, 'b> {
             }
         }
         (CastOutcome::Valid, stats)
-    }
-
-    /// Checks one element's immediate content (not its descendants).
-    fn check_node(
-        &self,
-        doc: &Doc,
-        node: NodeId,
-        source: Option<TypeId>,
-        target: TypeId,
-        stats: &mut ValidationStats,
-    ) -> bool {
-        stats.nodes_visited += 1;
-        match self.ctx.target().type_def(target) {
-            TypeDef::Simple(s) => {
-                stats.value_checks += 1;
-                crate::full::validate_simple_content(doc, node, |t| s.validate(t), stats)
-            }
-            TypeDef::Complex(c_tgt) => {
-                let mut labels: Vec<Sym> = Vec::new();
-                for child in doc.validation_children(node) {
-                    match doc.label(child) {
-                        Some(l) => labels.push(l),
-                        None => return false,
-                    }
-                }
-                let use_ida = self.ctx.options().use_ida
-                    && source.is_some_and(|s| self.ctx.source().type_def(s).as_complex().is_some());
-                if use_ida {
-                    let ida = self.ctx.product_ida(source.expect("checked above"), target);
-                    let out = ida.run(&labels);
-                    stats.content_symbols_scanned += out.consumed();
-                    match out {
-                        IdaOutcome::Accept { early, .. } => {
-                            if early {
-                                stats.ida_early_accepts += 1;
-                            }
-                            true
-                        }
-                        IdaOutcome::Reject { early, .. } => {
-                            if early {
-                                stats.ida_early_rejects += 1;
-                            }
-                            false
-                        }
-                    }
-                } else {
-                    stats.content_symbols_scanned += labels.len();
-                    c_tgt.dfa.accepts(&labels)
-                }
-            }
-        }
     }
 }
 

@@ -2,15 +2,14 @@
 //!
 //! [`CastContext::validate`] answers yes/no as fast as possible; tooling
 //! (the CLI, editors, brokers that log rejects) wants the failing path and
-//! reason. [`explain`] re-runs the cast algorithm without early-exit
-//! shortcuts on the failing branch and reports the first failure in
-//! document order.
+//! reason. [`explain`] runs the same tree walk, under the context's
+//! [`CastOptions`](crate::CastOptions), and describes the element it stops
+//! at: the first failure in document order.
 
-use crate::cast::CastContext;
-use crate::diag::{pop_segment, push_segment, root_path, Diagnostic, Severity};
+use crate::cast::{CastContext, Reason, Rejection, Walk};
+use crate::diag::{push_segment, root_path, Diagnostic, Severity};
 use crate::stats::ValidationStats;
-use schemacast_regex::{Alphabet, Sym};
-use schemacast_schema::{TypeDef, TypeId};
+use schemacast_regex::Alphabet;
 use schemacast_tree::{Doc, NodeId};
 use std::fmt;
 
@@ -135,6 +134,16 @@ pub fn explain(
     doc: &Doc,
     alphabet: &Alphabet,
 ) -> Result<(), ValidationFailure> {
+    validate_explained(ctx, doc, alphabet).map(drop)
+}
+
+/// Convenience: validate and, on failure, explain — one call for tooling.
+/// On success the stats are those of [`CastContext::validate_with_stats`].
+pub fn validate_explained(
+    ctx: &CastContext<'_>,
+    doc: &Doc,
+    alphabet: &Alphabet,
+) -> Result<ValidationStats, ValidationFailure> {
     let root = doc.root();
     let Some(label) = doc.label(root) else {
         return Err(ValidationFailure {
@@ -152,141 +161,70 @@ pub fn explain(
             },
         });
     };
+    let mut stats = ValidationStats::default();
     let src = ctx.source().root_type(label);
-    let mut path = root_path(alphabet.name(label));
-    explain_node(ctx, doc, root, src, tgt, alphabet, &mut path)
-}
-
-fn explain_node(
-    ctx: &CastContext<'_>,
-    doc: &Doc,
-    node: NodeId,
-    src: Option<TypeId>,
-    tgt: TypeId,
-    alphabet: &Alphabet,
-    path: &mut String,
-) -> Result<(), ValidationFailure> {
-    if let Some(s) = src {
-        if ctx.relations().subsumed(s, tgt) {
-            return Ok(());
-        }
-        if ctx.relations().disjoint(s, tgt) {
-            // Disjointness proves failure, but descend for a more precise
-            // reason when cheap; report the type-level fact as the cause.
-            return Err(ValidationFailure {
-                path: path.clone(),
-                kind: FailureKind::DisjointTypes {
-                    source_type: ctx.source().type_name(s).to_owned(),
-                    target_type: ctx.target().type_name(tgt).to_owned(),
-                },
-            });
-        }
-    }
-    match ctx.target().type_def(tgt) {
-        TypeDef::Simple(simple) => {
-            let children: Vec<NodeId> = doc.validation_children(node).collect();
-            let value = match children.as_slice() {
-                [] => String::new(),
-                [only] => match doc.text(*only) {
-                    Some(t) => t.to_owned(),
-                    None => {
-                        return Err(ValidationFailure {
-                            path: path.clone(),
-                            kind: FailureKind::NotSimpleContent,
-                        })
-                    }
-                },
-                _ => {
-                    return Err(ValidationFailure {
-                        path: path.clone(),
-                        kind: FailureKind::NotSimpleContent,
-                    })
-                }
-            };
-            if simple.validate(&value) {
-                Ok(())
-            } else {
-                Err(ValidationFailure {
-                    path: path.clone(),
-                    kind: FailureKind::InvalidValue {
-                        type_name: ctx.target().type_name(tgt).to_owned(),
-                        value,
-                    },
-                })
-            }
-        }
-        TypeDef::Complex(c_tgt) => {
-            let mut labels: Vec<Sym> = Vec::new();
-            for child in doc.validation_children(node) {
-                match doc.label(child) {
-                    Some(l) => labels.push(l),
-                    None => {
-                        return Err(ValidationFailure {
-                            path: path.clone(),
-                            kind: FailureKind::TextInElementContent,
-                        })
-                    }
-                }
-            }
-            if !c_tgt.dfa.accepts(&labels) {
-                return Err(ValidationFailure {
-                    path: path.clone(),
-                    kind: FailureKind::ContentModel {
-                        type_name: ctx.target().type_name(tgt).to_owned(),
-                        found: labels
-                            .iter()
-                            .map(|&l| alphabet.name(l).to_owned())
-                            .collect(),
-                    },
-                });
-            }
-            let src_complex = src.and_then(|s| ctx.source().type_def(s).as_complex());
-            let children: Vec<NodeId> = doc.validation_children(node).collect();
-            for (i, (child, &label)) in children.iter().zip(labels.iter()).enumerate() {
-                let Some(child_tgt) = c_tgt.child_type(label) else {
-                    return Err(ValidationFailure {
-                        path: path.clone(),
-                        kind: FailureKind::ContentModel {
-                            type_name: ctx.target().type_name(tgt).to_owned(),
-                            found: labels
-                                .iter()
-                                .map(|&l| alphabet.name(l).to_owned())
-                                .collect(),
-                        },
-                    });
-                };
-                let child_src = src_complex.and_then(|c| c.child_type(label));
-                let len = push_segment(path, alphabet.name(label), i);
-                explain_node(ctx, doc, *child, child_src, child_tgt, alphabet, path)?;
-                pop_segment(path, len);
-            }
-            Ok(())
-        }
+    match Walk::cast(ctx).run(doc, root, src, tgt, &mut stats) {
+        Ok(()) => Ok(stats),
+        Err(rejection) => Err(describe(ctx, doc, alphabet, rejection)),
     }
 }
 
-/// Convenience: validate and, on failure, explain — one call for tooling.
-pub fn validate_explained(
+/// Turns the walk's rejection into a path and a [`FailureKind`].
+fn describe(
     ctx: &CastContext<'_>,
     doc: &Doc,
     alphabet: &Alphabet,
-) -> Result<ValidationStats, ValidationFailure> {
-    let (out, stats) = ctx.validate_with_stats(doc);
-    if out.is_valid() {
-        Ok(stats)
-    } else {
-        explain(ctx, doc, alphabet).map(|()| stats).and_then(|_| {
-            // The fast path said invalid but the explainer found nothing:
-            // can only happen if the fast path used a disjointness prune
-            // on a branch the explainer skipped via subsumption — not
-            // possible, since both use the same relations. Treat as a
-            // generic failure at the root for robustness.
-            Err(ValidationFailure {
-                path: "/".into(),
-                kind: FailureKind::NotSimpleContent,
-            })
-        })
+    r: Rejection,
+) -> ValidationFailure {
+    let type_name = || ctx.target().type_name(r.tgt).to_owned();
+    let kind = match r.reason {
+        Reason::Disjoint => FailureKind::DisjointTypes {
+            source_type: r
+                .src
+                .map_or_else(String::new, |s| ctx.source().type_name(s).to_owned()),
+            target_type: type_name(),
+        },
+        Reason::NotSimpleContent => FailureKind::NotSimpleContent,
+        Reason::InvalidValue => FailureKind::InvalidValue {
+            type_name: type_name(),
+            value: doc
+                .validation_children(r.node)
+                .find_map(|c| doc.text(c))
+                .unwrap_or_default()
+                .to_owned(),
+        },
+        Reason::TextInElementContent => FailureKind::TextInElementContent,
+        Reason::ContentModel => FailureKind::ContentModel {
+            type_name: type_name(),
+            found: doc
+                .validation_children(r.node)
+                .filter_map(|c| doc.label(c))
+                .map(|l| alphabet.name(l).to_owned())
+                .collect(),
+        },
+    };
+    ValidationFailure {
+        path: path_of(doc, r.node, alphabet),
+        kind,
     }
+}
+
+/// The `/root/label[i]/…` path of an element, built upwards with
+/// [`Doc::parent`]; `i` counts the parent's validation children.
+fn path_of(doc: &Doc, node: NodeId, alphabet: &Alphabet) -> String {
+    let name = |n: NodeId| doc.label(n).map_or("#text", |l| alphabet.name(l));
+    let mut steps: Vec<(NodeId, usize)> = Vec::new();
+    let mut cur = node;
+    while let Some(parent) = doc.parent(cur) {
+        let index = doc.validation_children(parent).position(|c| c == cur);
+        steps.push((cur, index.unwrap_or_default()));
+        cur = parent;
+    }
+    let mut path = root_path(name(cur));
+    for &(n, index) in steps.iter().rev() {
+        push_segment(&mut path, name(n), index);
+    }
+    path
 }
 
 #[cfg(test)]

@@ -2,14 +2,15 @@
 //!
 //! Implements the `validate`/`doValidate` pseudocode of §3 directly: visit
 //! every node top-down, run the content-model DFA over every element's
-//! children, check every simple value. Instrumented with the same
-//! [`ValidationStats`] as the cast validator so Figure 3 / Table 3 compare
-//! like for like.
+//! children, check every simple value. It is the crate's one tree walk
+//! ([`crate::cast`]) with no source side, so it is instrumented with the
+//! same [`ValidationStats`] as the cast validator and Figure 3 / Table 3
+//! compare like for like.
 
+use crate::cast::Walk;
 use crate::stats::{CastOutcome, ValidationStats};
-use schemacast_regex::Sym;
-use schemacast_schema::{AbstractSchema, TypeDef, TypeId};
-use schemacast_tree::{Doc, NodeId, NodeKind};
+use schemacast_schema::{AbstractSchema, TypeId};
+use schemacast_tree::{Doc, NodeId};
 
 /// A full (non-incremental) validator for one schema.
 #[derive(Debug, Clone, Copy)]
@@ -42,8 +43,7 @@ impl<'a> FullValidator<'a> {
     }
 
     /// Validates the subtree rooted at `node` against type `t`,
-    /// accumulating stats. Exposed for reuse by the cast validators (the
-    /// "validate explicitly" cases of §3.3).
+    /// accumulating stats.
     ///
     /// Iterative (explicit work stack): document depth does not consume
     /// call-stack frames, so arbitrarily deep documents are safe.
@@ -54,63 +54,9 @@ impl<'a> FullValidator<'a> {
         t: TypeId,
         stats: &mut ValidationStats,
     ) -> bool {
-        let mut work: Vec<(NodeId, TypeId)> = vec![(node, t)];
-        while let Some((node, t)) = work.pop() {
-            stats.nodes_visited += 1;
-            match self.schema.type_def(t) {
-                TypeDef::Simple(s) => {
-                    stats.value_checks += 1;
-                    if !validate_simple_content(doc, node, |text| s.validate(text), stats) {
-                        return false;
-                    }
-                }
-                TypeDef::Complex(c) => {
-                    let mut labels: Vec<Sym> = Vec::new();
-                    for child in doc.validation_children(node) {
-                        match doc.label(child) {
-                            Some(l) => labels.push(l),
-                            None => return false, // character data in element content
-                        }
-                    }
-                    stats.content_symbols_scanned += labels.len();
-                    if !c.dfa.accepts(&labels) {
-                        return false;
-                    }
-                    let children: Vec<NodeId> = doc.validation_children(node).collect();
-                    // Push in reverse so children are processed in order.
-                    for (child, &label) in children.iter().zip(labels.iter()).rev() {
-                        let Some(ct) = c.child_type(label) else {
-                            return false;
-                        };
-                        work.push((*child, ct));
-                    }
-                }
-            }
-        }
-        true
-    }
-}
-
-/// Shared helper: checks that `node`'s content is a single text node (or
-/// nothing, meaning the empty string) satisfying `check`. Counts the text
-/// node as visited.
-pub(crate) fn validate_simple_content(
-    doc: &Doc,
-    node: NodeId,
-    check: impl FnOnce(&str) -> bool,
-    stats: &mut ValidationStats,
-) -> bool {
-    let children: Vec<NodeId> = doc.validation_children(node).collect();
-    match children.as_slice() {
-        [] => check(""),
-        [only] => {
-            stats.nodes_visited += 1;
-            match doc.kind(*only) {
-                NodeKind::Text(text) => check(text),
-                NodeKind::Element(_) => false,
-            }
-        }
-        _ => false,
+        Walk::full(self.schema)
+            .run(doc, node, None, t, stats)
+            .is_ok()
     }
 }
 

@@ -8,32 +8,23 @@
 //! `b_immed` and the unchanged remainder with the product IDA, entering at
 //! the state pair obtained from the old and new prefixes (Prop. 2).
 
-use crate::cast::CastContext;
-use crate::full::FullValidator;
-use crate::idacache::ShardedCache;
+use crate::cast::{CastContext, Walk};
 use crate::stats::{CastOutcome, ValidationStats};
-use loomlite::sync::Arc;
-use schemacast_automata::StringCast;
 use schemacast_regex::Sym;
 use schemacast_schema::{TypeDef, TypeId};
-use schemacast_tree::{DeltaDoc, DeltaState, NodeId, ProjLabel, TrieCursor};
+use schemacast_tree::{DeltaDoc, DeltaState, NodeId, ProjLabel};
 
-/// Validator for edited documents over a preprocessed [`CastContext`].
+/// Validator for edited documents over a preprocessed [`CastContext`],
+/// whose per-pair caches also hold the string-cast machinery (§4.3) this
+/// validator uses on edited child lists.
 pub struct ModsValidator<'a, 'b> {
     ctx: &'a CastContext<'b>,
-    /// Per type pair: preprocessed string-cast machinery (with reverse
-    /// automata) for content-model revalidation after edits, in the same
-    /// sharded publish-once cache the product IDAs use.
-    string_casts: ShardedCache<StringCast>,
 }
 
 impl<'a, 'b> ModsValidator<'a, 'b> {
     /// Wraps a cast context.
     pub fn new(ctx: &'a CastContext<'b>) -> Self {
-        ModsValidator {
-            ctx,
-            string_casts: ShardedCache::new(),
-        }
+        ModsValidator { ctx }
     }
 
     /// Decides whether the edited document is valid with respect to the
@@ -46,8 +37,7 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
     /// Like [`ModsValidator::validate`], with cost counters.
     pub fn validate_with_stats(&self, dd: &DeltaDoc) -> (CastOutcome, ValidationStats) {
         let mut stats = ValidationStats::default();
-        let doc = dd.doc();
-        let root = doc.root();
+        let root = dd.doc().root();
         let Some(ProjLabel::Elem(new_label)) = dd.proj_new(root) else {
             return (CastOutcome::Invalid, stats);
         };
@@ -58,164 +48,130 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
             Some(ProjLabel::Elem(old_label)) => self.ctx.source().root_type(old_label),
             _ => None,
         };
-        let cursor = dd.trie().cursor();
-        let ok = self.validate_node(dd, root, src, tgt, cursor, &mut stats);
+        let ok = self.validate_tree(dd, src, tgt, &mut stats);
         (CastOutcome::from_bool(ok), stats)
     }
 
-    /// The §3.3 case analysis for one subtree.
-    fn validate_node(
+    /// The §3.3 case analysis, over an explicit stack of (node, source
+    /// type, target type, trie cursor) so that document depth never
+    /// consumes call-stack frames.
+    fn validate_tree(
         &self,
         dd: &DeltaDoc,
-        node: NodeId,
         src: Option<TypeId>,
         tgt: TypeId,
-        cursor: TrieCursor<'_>,
         stats: &mut ValidationStats,
     ) -> bool {
         let doc = dd.doc();
-        // Case 3: inserted subtree — no prior knowledge, validate fully.
-        if matches!(dd.delta(node), DeltaState::Inserted) {
-            stats.full_validations += 1;
-            return FullValidator::new(self.ctx.target()).validate_node(doc, node, tgt, stats);
-        }
-        // Case 1: untouched subtree — plain schema cast (§3.2).
-        if !cursor.subtree_modified() {
-            match src {
-                Some(s) => return self.ctx.cast_validate(doc, node, s, tgt, stats),
-                None => {
-                    stats.full_validations += 1;
-                    return FullValidator::new(self.ctx.target())
-                        .validate_node(doc, node, tgt, stats);
-                }
-            }
-        }
-        // Case 4: node present in both versions, but its label or content
-        // (or something below) changed.
-        stats.nodes_visited += 1;
-        match self.ctx.target().type_def(tgt) {
-            TypeDef::Simple(simple) => {
-                stats.value_checks += 1;
-                // New-view children, ignoring ignorable whitespace.
-                let live: Vec<NodeId> = dd
-                    .new_children(node)
-                    .filter(|&c| !doc.is_ignorable_ws(c))
-                    .collect();
-                match live.as_slice() {
-                    [] => simple.validate(""),
-                    [only] => {
-                        stats.nodes_visited += 1;
-                        match doc.text(*only) {
-                            Some(text) => simple.validate(text),
-                            None => false,
-                        }
-                    }
-                    _ => false,
-                }
-            }
-            TypeDef::Complex(c_tgt) => {
-                // Proj_new over the live children.
-                let mut new_labels: Vec<Sym> = Vec::new();
-                for c in dd.new_children(node) {
-                    if doc.is_ignorable_ws(c) {
-                        continue;
-                    }
-                    match dd.proj_new(c) {
-                        Some(ProjLabel::Elem(l)) => new_labels.push(l),
-                        Some(ProjLabel::Chi) => return false, // text in element content
-                        None => unreachable!("new_children filters deleted nodes"),
-                    }
-                }
-                let src_complex = src.and_then(|s| self.ctx.source().type_def(s).as_complex());
-                // Content-model check, with §4.3 machinery when the source
-                // content model is available and the old children are all
-                // elements.
-                let content_ok = if self.ctx.options().use_ida {
-                    if let (Some(_), Some(s)) = (src_complex, src) {
-                        let mut old_labels: Vec<Sym> = Vec::with_capacity(new_labels.len());
-                        let mut old_ok = true;
-                        for c in dd.old_children(node) {
-                            if doc.is_ignorable_ws(c) {
-                                continue;
-                            }
-                            match dd.proj_old(c) {
-                                Some(ProjLabel::Elem(l)) => old_labels.push(l),
-                                _ => {
-                                    old_ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if old_ok {
-                            let sc = self.string_cast(s, tgt);
-                            let d = sc.revalidate_with_mods(&old_labels, &new_labels);
-                            stats.content_symbols_scanned += d.symbols_scanned;
-                            d.accepted
-                        } else {
-                            stats.content_symbols_scanned += new_labels.len();
-                            c_tgt.dfa.accepts(&new_labels)
-                        }
-                    } else {
-                        stats.content_symbols_scanned += new_labels.len();
-                        c_tgt.dfa.accepts(&new_labels)
-                    }
-                } else {
-                    stats.content_symbols_scanned += new_labels.len();
-                    c_tgt.dfa.accepts(&new_labels)
-                };
-                if !content_ok {
+        let walk = Walk::cast(self.ctx);
+        let mut work = vec![(doc.root(), src, tgt, dd.trie().cursor())];
+        let mut new_labels: Vec<Sym> = Vec::new();
+        let mut old_labels: Vec<Sym> = Vec::new();
+        while let Some((node, src, tgt, cursor)) = work.pop() {
+            // Case 3, an inserted subtree (no source typing, so validated
+            // in full), and case 1, an untouched subtree (a plain §3.2
+            // cast): both are the tree walk.
+            if matches!(dd.delta(node), DeltaState::Inserted) || !cursor.subtree_modified() {
+                if walk.run(doc, node, src, tgt, stats).is_err() {
                     return false;
                 }
-                // Recurse into live children, navigating the trie by the
-                // child's index in the *full* child list (Dewey coordinates).
-                let mut label_idx = 0;
-                for (full_idx, &c) in doc.children(node).iter().enumerate() {
-                    if matches!(dd.delta(c), DeltaState::Deleted) || doc.is_ignorable_ws(c) {
-                        continue;
-                    }
-                    // Text children were rejected above for complex content.
-                    let label = new_labels[label_idx];
-                    label_idx += 1;
-                    let Some(child_tgt) = c_tgt.child_type(label) else {
-                        return false;
-                    };
-                    let child_src = match dd.proj_old(c) {
-                        Some(ProjLabel::Elem(old_label)) => {
-                            src_complex.and_then(|sc| sc.child_type(old_label))
-                        }
-                        _ => None,
-                    };
-                    let child_cursor = cursor.child(full_idx as u32);
-                    if !self.validate_node(dd, c, child_src, child_tgt, child_cursor, stats) {
-                        return false;
-                    }
-                }
-                true
+                continue;
             }
+            // Case 4: node present in both versions, but its label or
+            // content (or something below) changed.
+            stats.nodes_visited += 1;
+            let c_tgt = match self.ctx.target().type_def(tgt) {
+                TypeDef::Simple(simple) => {
+                    stats.value_checks += 1;
+                    // New-view children, ignoring ignorable whitespace.
+                    let mut live = dd.new_children(node).filter(|&c| !doc.is_ignorable_ws(c));
+                    let ok = match (live.next(), live.next()) {
+                        (None, _) => simple.validate(""),
+                        (Some(only), None) => {
+                            stats.nodes_visited += 1;
+                            doc.text(only).is_some_and(|text| simple.validate(text))
+                        }
+                        (Some(_), Some(_)) => false,
+                    };
+                    if !ok {
+                        return false;
+                    }
+                    continue;
+                }
+                TypeDef::Complex(c_tgt) => c_tgt,
+            };
+            // Proj_new over the live children.
+            new_labels.clear();
+            for c in dd.new_children(node) {
+                if doc.is_ignorable_ws(c) {
+                    continue;
+                }
+                match dd.proj_new(c) {
+                    Some(ProjLabel::Elem(l)) => new_labels.push(l),
+                    Some(ProjLabel::Chi) => return false, // text in element content
+                    None => unreachable!("new_children filters deleted nodes"),
+                }
+            }
+            let src_complex = src.and_then(|s| self.ctx.source().type_def(s).as_complex());
+            // Content-model check: the §4.3 machinery when the source
+            // content model is available and the old children are all
+            // elements, the target DFA otherwise.
+            let string_cast = self.ctx.options().use_ida
+                && src_complex.is_some()
+                && old_word(dd, node, &mut old_labels);
+            let accepted = match src {
+                Some(s) if string_cast => {
+                    let sc = self.ctx.string_cast(s, tgt);
+                    let d = sc.revalidate_with_mods(&old_labels, &new_labels);
+                    stats.content_symbols_scanned += d.symbols_scanned;
+                    d.accepted
+                }
+                _ => {
+                    stats.content_symbols_scanned += new_labels.len();
+                    c_tgt.dfa.accepts(&new_labels)
+                }
+            };
+            if !accepted {
+                return false;
+            }
+            // Push the live children, navigating the trie by each child's
+            // index in the *full* child list (Dewey coordinates).
+            let live = doc.children(node).iter().enumerate().filter(|&(_, &c)| {
+                !matches!(dd.delta(c), DeltaState::Deleted) && !doc.is_ignorable_ws(c)
+            });
+            let base = work.len();
+            for ((full_idx, &c), &label) in live.zip(&new_labels) {
+                let Some(child_tgt) = c_tgt.child_type(label) else {
+                    return false;
+                };
+                let child_src = match dd.proj_old(c) {
+                    Some(ProjLabel::Elem(old_label)) => {
+                        src_complex.and_then(|sc| sc.child_type(old_label))
+                    }
+                    _ => None,
+                };
+                work.push((c, child_src, child_tgt, cursor.child(full_idx as u32)));
+            }
+            work[base..].reverse();
+        }
+        true
+    }
+}
+
+/// `Proj_old` over `node`'s children, ignorable whitespace aside, into
+/// `word`; `false` if one of them was character data.
+fn old_word(dd: &DeltaDoc, node: NodeId, word: &mut Vec<Sym>) -> bool {
+    word.clear();
+    for c in dd.old_children(node) {
+        if dd.doc().is_ignorable_ws(c) {
+            continue;
+        }
+        match dd.proj_old(c) {
+            Some(ProjLabel::Elem(l)) => word.push(l),
+            _ => return false,
         }
     }
-
-    fn string_cast(&self, src: TypeId, tgt: TypeId) -> Arc<StringCast> {
-        self.string_casts.get_or_insert_with((src, tgt), || {
-            let a = self
-                .ctx
-                .source()
-                .type_def(src)
-                .as_complex()
-                .expect("string cast requires complex source")
-                .dfa
-                .clone();
-            let b = self
-                .ctx
-                .target()
-                .type_def(tgt)
-                .as_complex()
-                .expect("string cast requires complex target")
-                .dfa
-                .clone();
-            StringCast::new(a, b).with_reverse()
-        })
-    }
+    true
 }
 
 #[cfg(test)]

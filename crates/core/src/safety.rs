@@ -34,7 +34,7 @@
 //! same discipline as the product-IDA cache), so batch workers share them
 //! contention-free.
 
-use crate::cast::CastContext;
+use crate::cast::{CastContext, Walk};
 use crate::stats::{CastOutcome, ValidationStats};
 use loomlite::sync::Arc;
 use schemacast_automata::safety::EditWordAnalysis;
@@ -47,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 pub use schemacast_automata::safety::SafetyVerdict as Verdict;
 
 /// Subtrees the exemption-aware cast walk skips or refuses to prune
-/// (see [`CastContext::cast_validate_exempt`]).
+/// (see [`Walk::exempt`]).
 pub(crate) struct Exemptions {
     /// Edited sites: their subtrees are counted valid without inspection.
     pub(crate) skip: HashSet<NodeId>,
@@ -562,8 +562,9 @@ impl<'a> CastContext<'a> {
             // typing resolved through the source), but degrade gracefully.
             return (CastOutcome::Invalid, stats);
         };
-        let ok = self.cast_validate_exempt(doc, root, src_type, tgt_type, &mut stats, &exemptions);
-        (CastOutcome::from_bool(ok), stats)
+        let ok =
+            Walk::exempt(self, &exemptions).run(doc, root, Some(src_type), tgt_type, &mut stats);
+        (CastOutcome::from_bool(ok.is_ok()), stats)
     }
 
     /// Tries to decide an edited document via the *script-level* analyzer

@@ -68,19 +68,24 @@ pub struct StreamScratch {
 /// mutex + hash lookup from the per-element path for pairs the current
 /// document has already used. [`TypeId`]s are small dense indices, so the
 /// memo is a `#source_types × #target_types` matrix — one indexed load
-/// per element, no hashing at all. Re-dimensioned (and cleared) at the
-/// start of every document so a scratch can safely move between contexts
-/// (type ids are per-schema).
+/// per element, no hashing at all. Re-dimensioned at the start of every
+/// document, and emptied by clearing only the slots the previous document
+/// filled, so a scratch can safely move between contexts (type ids are
+/// per-schema) at a cost that does not grow with the schemas.
 #[derive(Debug, Default)]
 struct PairMemo {
     slots: Vec<Option<Arc<ProductIda>>>,
+    /// Indices of the filled slots.
+    filled: Vec<usize>,
     tgt_width: usize,
 }
 
 impl PairMemo {
-    /// Clears the memo and re-dimensions it for a schema pair.
+    /// Empties the memo and re-dimensions it for a schema pair.
     fn begin(&mut self, src_types: usize, tgt_types: usize) {
-        self.slots.clear();
+        for i in self.filled.drain(..) {
+            self.slots[i] = None;
+        }
         self.slots.resize(src_types * tgt_types, None);
         self.tgt_width = tgt_types;
     }
@@ -93,7 +98,12 @@ impl PairMemo {
         t: TypeId,
         build: impl FnOnce() -> Arc<ProductIda>,
     ) -> &Arc<ProductIda> {
-        self.slots[s.index() * self.tgt_width + t.index()].get_or_insert_with(build)
+        let i = s.index() * self.tgt_width + t.index();
+        let slot = &mut self.slots[i];
+        if slot.is_none() {
+            self.filled.push(i);
+        }
+        slot.get_or_insert_with(build)
     }
 }
 
@@ -753,6 +763,41 @@ mod tests {
             .validate_str("<po>stray text<ship/><bill/><items/></po>", &ab)
             .expect("well-formed");
         assert!(!out.is_valid());
+    }
+
+    #[test]
+    fn scratch_moves_between_contexts_with_equal_type_counts() {
+        // Same type ids on both sides, different target content models: a
+        // memo slot left over from one context would answer for the other.
+        let mut ab = Alphabet::new();
+        let mk = |ab: &mut Alphabet, model: &str| {
+            let mut b = SchemaBuilder::new(ab);
+            let text = b.simple("Text", SimpleType::string()).unwrap();
+            let root = b.declare("Root").unwrap();
+            b.complex(root, model, &[("a", text), ("b", text)]).unwrap();
+            b.root("r", root);
+            b.finish().unwrap()
+        };
+        let source = mk(&mut ab, "(a?, b)");
+        let ab_first = mk(&mut ab, "(a, b)");
+        let b_first = mk(&mut ab, "(b, a?)");
+        assert_eq!(ab_first.type_count(), b_first.type_count());
+        let ctx_ab = CastContext::new(&source, &ab_first, &ab);
+        let ctx_b = CastContext::new(&source, &b_first, &ab);
+        let mut scratch = StreamScratch::default();
+        for _ in 0..2 {
+            for (text, valid_ab, valid_b) in [
+                ("<r><a/><b/></r>", true, false),
+                ("<r><b/></r>", false, true),
+            ] {
+                for (ctx, want) in [(&ctx_ab, valid_ab), (&ctx_b, valid_b)] {
+                    let (out, _) = StreamingCast::new(ctx)
+                        .validate_str_with(text, &ab, &mut scratch)
+                        .expect("well-formed");
+                    assert_eq!(out.is_valid(), want, "{text}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -364,11 +364,16 @@ impl DeltaDoc {
             // Descendant marks of an inserted leaf subtree: unmark those too
             // by removing the subtree's trie branch (all its nodes are
             // Inserted and physically removed below).
-            for desc in self.subtree_nodes(node) {
+            let subtree = self.subtree_nodes(node);
+            for &desc in &subtree {
                 self.doc.dewey_into(desc, &mut self.path_buf);
                 self.trie.unmark(&self.path_buf);
             }
-            self.remove_subtree(node);
+            // Its nodes are inserted leaves-at-insertion-time: detach them
+            // bottom-up, each after all of its descendants.
+            for &n in subtree.iter().rev() {
+                self.doc.remove_leaf(n);
+            }
             self.trie.shift_children(&parent_path, pos + 1, -1);
             return Ok(());
         }
@@ -387,40 +392,35 @@ impl DeltaDoc {
         out
     }
 
-    fn remove_subtree(&mut self, node: NodeId) {
-        // Children of an inserted node being removed are themselves
-        // inserted leaves-at-insertion-time; detach bottom-up.
-        let children: Vec<NodeId> = self.doc.children(node).to_vec();
-        for c in children {
-            self.remove_subtree(c);
-        }
-        self.doc.remove_leaf(node);
-    }
-
     /// Materializes the post-edit document: deleted placeholders dropped,
-    /// Δ-states forgotten. Also returns the node-id mapping from the edited
-    /// arena into the new compact arena.
+    /// Δ-states forgotten. Nodes are numbered in document order.
     pub fn committed(&self) -> Doc {
-        fn copy(src: &DeltaDoc, from: NodeId, dst: &mut Doc, to: NodeId) {
-            for c in src.doc.children(from).iter().copied() {
-                if matches!(src.delta(c), DeltaState::Deleted) {
-                    continue;
+        let root = self.doc.root();
+        let root_label = self.doc.label(root).expect("root is an element");
+        let mut out = Doc::new(root_label);
+        // (node of the edited tree, its parent in `out`), next in document
+        // order on top.
+        let mut work: Vec<(NodeId, NodeId)> = Vec::new();
+        let live_children = |from: NodeId, to: NodeId| {
+            self.doc
+                .children(from)
+                .iter()
+                .rev()
+                .filter(|&&c| !matches!(self.delta(c), DeltaState::Deleted))
+                .map(move |&c| (c, to))
+        };
+        work.extend(live_children(root, out.root()));
+        while let Some((node, parent)) = work.pop() {
+            match self.doc.kind(node) {
+                NodeKind::Element(s) => {
+                    let id = out.add_element(parent, *s);
+                    work.extend(live_children(node, id));
                 }
-                match src.doc.kind(c) {
-                    NodeKind::Element(s) => {
-                        let id = dst.add_element(to, *s);
-                        copy(src, c, dst, id);
-                    }
-                    NodeKind::Text(t) => {
-                        dst.add_text(to, t.clone());
-                    }
+                NodeKind::Text(t) => {
+                    out.add_text(parent, t.clone());
                 }
             }
         }
-        let root_label = self.doc.label(self.doc.root()).expect("root is an element");
-        let mut out = Doc::new(root_label);
-        let out_root = out.root();
-        copy(self, self.doc.root(), &mut out, out_root);
         out
     }
 }

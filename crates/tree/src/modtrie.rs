@@ -24,6 +24,18 @@ impl TrieNode {
     }
 }
 
+impl Drop for TrieNode {
+    /// Drops the branches below through an explicit stack: the derived drop
+    /// would use one call-stack frame per trie level, and a trie is as deep
+    /// as the deepest edit.
+    fn drop(&mut self) {
+        let mut stack: Vec<TrieNode> = std::mem::take(&mut self.children).into_values().collect();
+        while let Some(mut node) = stack.pop() {
+            stack.extend(std::mem::take(&mut node.children).into_values());
+        }
+    }
+}
+
 /// A trie over Dewey decimal numbers recording which nodes were modified.
 #[derive(Debug, Clone, Default)]
 pub struct ModTrie {
@@ -53,20 +65,39 @@ impl ModTrie {
     /// Removes a mark (used when an inserted node is deleted again). Prunes
     /// now-empty trie branches.
     pub fn unmark(&mut self, path: &[u32]) {
-        fn go(node: &mut TrieNode, path: &[u32]) {
-            match path.split_first() {
-                None => node.marked = false,
-                Some((&step, rest)) => {
-                    if let Some(child) = node.children.get_mut(&step) {
-                        go(child, rest);
-                        if child.is_empty() {
-                            node.children.remove(&step);
-                        }
-                    }
-                }
+        // The shallowest depth from which every node down to `path` would be
+        // left empty: that branch is cut off whole.
+        let mut cut: Option<usize> = None;
+        let mut node = &self.root;
+        for (depth, &step) in path.iter().enumerate() {
+            let Some(child) = node.children.get(&step) else {
+                return;
+            };
+            let emptied = if depth + 1 == path.len() {
+                child.children.is_empty()
+            } else {
+                !child.marked && child.children.len() == 1
+            };
+            if emptied {
+                cut.get_or_insert(depth);
+            } else {
+                cut = None;
             }
+            node = child;
         }
-        go(&mut self.root, path);
+        let mut node = &mut self.root;
+        for step in &path[..cut.unwrap_or(path.len())] {
+            let Some(child) = node.children.get_mut(step) else {
+                return;
+            };
+            node = child;
+        }
+        match cut {
+            Some(depth) => {
+                node.children.remove(&path[depth]);
+            }
+            None => node.marked = false,
+        }
     }
 
     /// `modified(v)` for the node with Dewey number `path`: whether any mark
@@ -189,6 +220,21 @@ mod tests {
         assert!(t.subtree_modified(&[1, 2]));
         t.unmark(&[1, 2]);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn deep_paths_unmark_and_drop_without_recursion() {
+        let deep = vec![0u32; 100_000];
+        let mut t = ModTrie::new();
+        t.mark(&[0]);
+        t.mark(&deep);
+        assert!(t.subtree_modified(&deep));
+        t.unmark(&deep);
+        // The branch below the marked ancestor is cut; the ancestor stays.
+        assert!(t.subtree_modified(&[0]));
+        assert!(!t.subtree_modified(&[0, 0]));
+        t.mark(&deep);
+        drop(t);
     }
 
     #[test]

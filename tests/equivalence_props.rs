@@ -5,9 +5,12 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use schemacast::core::{CastContext, CastOptions, DtdCastValidator, LabelIndex, ModsValidator};
+use schemacast::core::{
+    explain, validate_explained, CastContext, CastOptions, DtdCastValidator, FullValidator,
+    LabelIndex, ModsValidator,
+};
 use schemacast::regex::Alphabet;
-use schemacast::tree::DeltaDoc;
+use schemacast::tree::{DeltaDoc, Doc};
 use schemacast::workload::synth::{
     random_edits, random_schema, sample_document, SynthConfig, SynthSchema,
 };
@@ -41,7 +44,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The §3.2 cast validator agrees with full validation, under every
-    /// ablation configuration.
+    /// ablation configuration; `explain` walks the same tree walk, and
+    /// with every pruning off the cast costs what full validation costs.
     #[test]
     fn cast_equals_full_validation(
         schema_seed in 0u64..5000,
@@ -58,11 +62,21 @@ proptest! {
             CastOptions::baseline(),
         ] {
             let ctx = CastContext::with_options(&source, &target, &ab, opts);
-            prop_assert_eq!(
-                ctx.validate(&doc).is_valid(),
-                want,
-                "options {:?}", opts
-            );
+            let (out, stats) = ctx.validate_with_stats(&doc);
+            prop_assert_eq!(out.is_valid(), want, "options {:?}", opts);
+            prop_assert_eq!(explain(&ctx, &doc, &ab).is_ok(), want, "options {:?}", opts);
+            match validate_explained(&ctx, &doc, &ab) {
+                Ok(explained) => prop_assert_eq!(explained, stats, "options {:?}", opts),
+                Err(failure) => prop_assert!(
+                    resolves_to_element(&doc, &ab, &failure.path),
+                    "options {:?}: path {}", opts, failure.path
+                ),
+            }
+            if opts == CastOptions::baseline() {
+                let (_, mut full) = FullValidator::new(&target).validate_with_stats(&doc);
+                full.full_validations = stats.full_validations;
+                prop_assert_eq!(full, stats);
+            }
         }
     }
 
@@ -103,6 +117,31 @@ proptest! {
         prop_assert_eq!(out_on, out_off);
         prop_assert!(stats_on.nodes_visited <= stats_off.nodes_visited);
     }
+}
+
+/// Whether a failure path `/root/label[i]/…` names an element of `doc`:
+/// each `label[i]` is the parent's `i`-th validation child, labelled `label`.
+fn resolves_to_element(doc: &Doc, ab: &Alphabet, path: &str) -> bool {
+    let mut segments = path.strip_prefix('/').unwrap_or_default().split('/');
+    let label_is = |node, name: &str| doc.label(node).is_some_and(|l| ab.name(l) == name);
+    let mut cur = doc.root();
+    if !segments.next().is_some_and(|root| label_is(cur, root)) {
+        return false;
+    }
+    for segment in segments {
+        let Some((name, index)) = segment.strip_suffix(']').and_then(|s| s.split_once('[')) else {
+            return false;
+        };
+        let child = index
+            .parse::<usize>()
+            .ok()
+            .and_then(|i| doc.validation_children(cur).nth(i));
+        match child {
+            Some(child) if label_is(child, name) => cur = child,
+            _ => return false,
+        }
+    }
+    true
 }
 
 /// DTD-style pairs: the label-indexed validator (§3.4) agrees with the

@@ -7,10 +7,13 @@
 //!   the optimality claim needs determinism). We determinize via subset
 //!   construction and everything works.
 
-use schemacast::core::{CastContext, FullValidator};
+use schemacast::core::{
+    explain, CastContext, DtdCastValidator, FailureKind, FullValidator, LabelIndex, ModsValidator,
+};
+use schemacast::engine::{BatchEngine, ItemOutcome};
 use schemacast::regex::Alphabet;
 use schemacast::schema::{AbstractSchema, SchemaBuilder, SimpleType};
-use schemacast::tree::Doc;
+use schemacast::tree::{DeltaDoc, Doc, Edit, NodeId};
 
 fn outline_schema(ab: &mut Alphabet, max_depth_note: bool) -> AbstractSchema {
     let mut b = SchemaBuilder::new(ab);
@@ -105,6 +108,57 @@ fn deep_documents_validate_without_issue() {
     broken.set_label(title, bogus);
     assert!(!FullValidator::new(&v1).validate(&broken).is_valid());
     assert!(!ctx.validate(&broken).is_valid());
+}
+
+/// The deepest `section` of a `deep_outline(.., depth, 0)` document.
+fn deepest_section(doc: &Doc) -> NodeId {
+    let mut cur = doc.root();
+    while let Some(&next) = doc.children(cur).get(1) {
+        cur = next;
+    }
+    cur
+}
+
+#[test]
+fn every_tree_entry_point_answers_at_depth_100_000() {
+    const DEPTH: usize = 100_000;
+    let mut ab = Alphabet::new();
+    let v1 = outline_schema(&mut ab, false);
+    let v2 = outline_schema(&mut ab, true);
+    let doc = deep_outline(&mut ab, DEPTH, 0);
+    let deepest = deepest_section(&doc);
+
+    assert!(FullValidator::new(&v1).validate(&doc).is_valid());
+    let ctx = CastContext::new(&v1, &v2, &ab);
+    assert!(ctx.validate(&doc).is_valid());
+    let ctx_rev = CastContext::new(&v2, &v1, &ab);
+    assert!(ctx_rev.validate(&doc).is_valid());
+
+    assert_eq!(explain(&ctx_rev, &doc, &ab), Ok(()));
+    let mut broken = doc.clone();
+    let bogus = ab.intern("bogus");
+    broken.set_label(broken.children(deepest)[0], bogus);
+    let err = explain(&ctx_rev, &broken, &ab).unwrap_err();
+    assert!(
+        matches!(err.kind, FailureKind::ContentModel { .. }),
+        "{err}"
+    );
+    assert_eq!(err.path, format!("/doc{}", "/section[1]".repeat(DEPTH)));
+
+    let dtd = DtdCastValidator::new(&ctx_rev, ab.len()).expect("outline schemas are DTD-style");
+    assert!(dtd.validate(&doc, &LabelIndex::build(&doc)).is_valid());
+
+    let title_text = doc.children(doc.children(deepest)[0])[0];
+    let edits = vec![Edit::SetText {
+        node: title_text,
+        text: "renamed".into(),
+    }];
+    let mut dd = DeltaDoc::new(doc.clone());
+    dd.apply_all(&edits).expect("the edit applies");
+    assert!(ModsValidator::new(&ctx_rev).validate(&dd).is_valid());
+    assert_eq!(dd.committed().node_count(), dd.doc().node_count());
+    let report = BatchEngine::with_workers(&ctx_rev, 1).validate_edited(&[(doc, edits)]);
+    assert!(matches!(report.items[0].outcome, ItemOutcome::Valid));
 }
 
 #[test]

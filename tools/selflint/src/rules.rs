@@ -14,6 +14,7 @@
 //! | SL0004 | std-sync-ban       | shim-migrated crates use `loomlite::{sync,thread}`, never `std::{sync,thread}` |
 //! | SL0005 | ordering-justify   | every non-SeqCst atomic ordering carries a nearby `// ordering:` comment |
 //! | SL0006 | guard-across-io    | no lock guard held across file I/O |
+//! | SL0007 | walker-recursion   | no function in the tree walkers calls itself |
 
 use crate::lexer::SourceFile;
 use std::collections::BTreeMap;
@@ -51,6 +52,19 @@ const WEAK_ORDERINGS: &[&str] = &[
 /// How many lines above a weak-ordering use the `// ordering:`
 /// justification may sit.
 const ORDERING_COMMENT_WINDOW: usize = 6;
+
+/// The tree walkers and edit structures SL0007 holds to explicit stacks:
+/// a function here that calls itself recurses once per document level.
+const WALKER_FILES: &[&str] = &[
+    "crates/core/src/cast.rs",
+    "crates/core/src/full.rs",
+    "crates/core/src/dtdcast.rs",
+    "crates/core/src/explain.rs",
+    "crates/core/src/mods.rs",
+    "crates/core/src/stream.rs",
+    "crates/tree/src/modtrie.rs",
+    "crates/tree/src/edit.rs",
+];
 
 /// Calls that perform file I/O, for the guard-across-io rule.
 const IO_MARKERS: &[&str] = &[
@@ -145,6 +159,11 @@ pub const RULES: &[Rule] = &[
         id: "SL0006",
         name: "guard-across-io",
         check: guard_across_io,
+    },
+    Rule {
+        id: "SL0007",
+        name: "walker-recursion",
+        check: walker_recursion,
     },
 ];
 
@@ -364,6 +383,118 @@ fn let_bound_ident(code: &str) -> Option<String> {
     rhs.contains(".lock(").then_some(ident)
 }
 
+/// A function whose body is open: its name and the brace depth inside it.
+struct OpenFn {
+    name: String,
+    depth: i64,
+}
+
+fn walker_recursion(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
+    for file in ws.files {
+        if !WALKER_FILES.contains(&file.rel.as_str()) {
+            continue;
+        }
+        let mut depth: i64 = 0;
+        let mut open: Vec<OpenFn> = Vec::new();
+        // A signature seen and its body's `{` not yet: the name, and the
+        // `(`/`[` nesting so that `;` inside `[u8; 4]` does not end it.
+        let mut pending: Option<(String, i64)> = None;
+        for (i, l) in file.lines.iter().enumerate() {
+            let code = l.code.as_bytes();
+            let mut at = 0;
+            while at < code.len() {
+                let b = code[at];
+                if is_ident_start(b) && (at == 0 || !is_ident_byte(code[at - 1])) {
+                    let end = at + code[at..].iter().take_while(|&&c| is_ident_byte(c)).count();
+                    let word = &l.code[at..end];
+                    if word == "fn" {
+                        let name = l.code[end..].trim_start();
+                        let len = name.bytes().take_while(|&c| is_ident_byte(c)).count();
+                        if len > 0 && is_ident_start(name.as_bytes()[0]) {
+                            pending = Some((name[..len].to_string(), 0));
+                        }
+                    } else if !l.in_test
+                        && open.iter().any(|f| f.name == word)
+                        && is_self_call(&l.code[..at], &l.code[end..])
+                    {
+                        rule.emit(
+                            out,
+                            &file.rel,
+                            i + 1,
+                            format!(
+                                "`{word}` calls itself — walk documents and edit \
+                                 structures with an explicit stack, so depth never \
+                                 consumes call-stack frames"
+                            ),
+                        );
+                    }
+                    at = end;
+                    continue;
+                }
+                match b {
+                    b'{' => {
+                        depth += 1;
+                        if let Some((name, _)) = pending.take() {
+                            open.push(OpenFn { name, depth });
+                        }
+                    }
+                    b'}' => {
+                        depth -= 1;
+                        open.retain(|f| f.depth <= depth);
+                    }
+                    b'(' | b'[' => {
+                        if let Some((_, nest)) = &mut pending {
+                            *nest += 1;
+                        }
+                    }
+                    b')' | b']' => {
+                        if let Some((_, nest)) = &mut pending {
+                            *nest -= 1;
+                        }
+                    }
+                    b';' if pending.as_ref().is_some_and(|(_, nest)| *nest == 0) => {
+                        // A declaration without a body.
+                        pending = None;
+                    }
+                    _ => {}
+                }
+                at += 1;
+            }
+        }
+    }
+}
+
+fn is_ident_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_'
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Whether a name between `before` and `after` on one line is called as a
+/// self-call: a bare `name(`, `self.name(` or `Self::name(`. A call on any
+/// other receiver or path, and the `fn name(` of a signature, are not.
+fn is_self_call(before: &str, after: &str) -> bool {
+    if !after.trim_start().starts_with('(') {
+        return false;
+    }
+    let before = before.trim_end();
+    for receiver in ["self.", "Self::"] {
+        if let Some(rest) = before.strip_suffix(receiver) {
+            return !rest
+                .bytes()
+                .last()
+                .is_some_and(|b| is_ident_byte(b) || b == b'.' || b == b':');
+        }
+    }
+    let bare = !before.ends_with('.') && !before.ends_with("::");
+    let signature = before
+        .strip_suffix("fn")
+        .is_some_and(|rest| !rest.bytes().last().is_some_and(is_ident_byte));
+    bare && !signature
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,6 +672,58 @@ mod tests {
             "fn f(c: &AtomicUsize) { c.fetch_add(1, Ordering::SeqCst); }\n",
         );
         assert!(!ids(&ws_run(&[seq])).contains(&"SL0005"));
+    }
+
+    #[test]
+    fn sl0007_fires_on_self_calls_in_walker_files_only() {
+        let recursive = "impl V {\n\
+                 fn walk(&self, n: Node) -> bool {\n\
+                     n.children().all(|c| self.walk(c))\n\
+                 }\n\
+                 fn visit(n: Node) {\n\
+                     for c in n.children() { Self::visit(c); }\n\
+                 }\n\
+             }\n\
+             fn outer(path: &[u32]) {\n\
+                 fn go(\n\
+                     path: &[u32],\n\
+                 ) {\n\
+                     if let [_, rest @ ..] = path { go(rest) }\n\
+                 }\n\
+                 go(path);\n\
+             }\n";
+        let v = ws_run(&[lex("crates/core/src/mods.rs", false, recursive)]);
+        let lines: Vec<usize> = v
+            .iter()
+            .filter(|v| v.rule == "SL0007")
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(lines, [3, 6, 13], "self., Self:: and a nested bare call");
+
+        // The explicit-stack form, calls on other receivers, and a call of
+        // an enclosing function from a sibling are all silent.
+        let iterative = "impl V {\n\
+                 fn walk(&self, root: Node) -> bool {\n\
+                     let mut work = vec![root];\n\
+                     while let Some(n) = work.pop() {\n\
+                         if !self.doc.walk(n) || !Other::walk(n) { return false; }\n\
+                         work.extend(n.children());\n\
+                     }\n\
+                     self.children.is_empty()\n\
+                 }\n\
+                 fn len(&self) -> usize { ShardedCache::len(&self.cache) }\n\
+                 fn declared(x: [u8; 4]);\n\
+                 fn after(&self) { self.walk(Node::root()); }\n\
+             }\n";
+        let v = ws_run(&[lex("crates/core/src/mods.rs", false, iterative)]);
+        assert!(!ids(&v).contains(&"SL0007"), "{v:?}");
+
+        // Outside the walker files, and in test code, recursion is allowed.
+        let v = ws_run(&[lex("crates/core/src/repair.rs", false, recursive)]);
+        assert!(!ids(&v).contains(&"SL0007"));
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{recursive}}}\n");
+        let v = ws_run(&[lex("crates/core/src/mods.rs", false, &in_test)]);
+        assert!(!ids(&v).contains(&"SL0007"));
     }
 
     #[test]
