@@ -1,17 +1,19 @@
-//! Stage-1 structural indexer microbenchmarks (MB/s) — the components
-//! behind the `stream_throughput` numbers, measured in isolation.
+//! Stage-1 structural indexer and pull-parser microbenchmarks (MB/s) —
+//! the components behind the `stream_throughput` numbers, measured in
+//! isolation.
 //!
 //! * `build` — one SWAR classification pass producing the structural tape
-//!   (a reused [`StructuralIndex`], so this is the steady-state batch
-//!   cost: zero allocation).
-//! * `tape_parse` — full tokenization through [`PullParser`] running off
-//!   the tape (index built per iteration, as `validate_str` does).
+//!   (a reused [`StructuralIndex`], so this is the steady-state cost: zero
+//!   allocation). No validation path builds the tape; it is the reference
+//!   the pull parser's skip is tested against.
+//! * `pull_parse` — full tokenization through [`PullParser`], which lexes
+//!   each event on demand (as `validate_str` does).
 //! * `scalar_parse` — the preserved per-byte reference lexer
-//!   ([`ScalarParser`]) over the same bytes; the gap to `tape_parse` is
-//!   what stage-1 classification buys the tokenizer.
-//! * `tape_skip` — parse the root, then [`PullParser::skip_subtree`] every
-//!   child: with the tape each skip is an O(1) hop, so this approaches
-//!   the `build` cost no matter how large the subtrees are.
+//!   ([`ScalarParser`]) over the same bytes; the gap to `pull_parse` is
+//!   what the SWAR scans and the single-pass start tag buy the tokenizer.
+//! * `pull_skip` — parse the root, then [`PullParser::skip_subtree`] every
+//!   child: each skip is one depth-counting scan that stores nothing, so
+//!   this approaches a single classification pass over the bytes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use schemacast_regex::Alphabet;
@@ -37,7 +39,7 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    group.bench_with_input(BenchmarkId::new("tape_parse", n), &text, |b, t| {
+    group.bench_with_input(BenchmarkId::new("pull_parse", n), &text, |b, t| {
         b.iter(|| {
             let mut events = 0usize;
             for ev in PullParser::new(black_box(t)) {
@@ -59,7 +61,7 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    group.bench_with_input(BenchmarkId::new("tape_skip", n), &text, |b, t| {
+    group.bench_with_input(BenchmarkId::new("pull_skip", n), &text, |b, t| {
         b.iter(|| {
             let mut parser = PullParser::new(black_box(t));
             let mut skipped = 0usize;

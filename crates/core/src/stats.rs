@@ -40,25 +40,26 @@ pub struct ValidationStats {
     /// Raw bytes the streaming validator scanned past without tokenization
     /// (lexical subtree skipping). Tree validators and the depth-counting
     /// event path leave this 0 — the bytes of a skipped subtree are still
-    /// *read* by the scanner's state machine, but never lexed into names,
-    /// attributes, or entity-resolved text.
+    /// *read* by the skip's depth-counting scan, but never lexed into
+    /// names, attributes, or entity-resolved text.
     pub bytes_skipped: usize,
     /// Start/end tag events that were never tokenized because the subtree
     /// containing them was skipped lexically. A self-closing tag counts as
     /// two (the `Start`/`End` pair it would have produced); the skipped
     /// element's own end tag is included.
     pub events_avoided: usize,
-    /// Wall-clock microseconds spent building the stage-1 structural index
-    /// (the tape) before streaming validation. Paths that do not build a
-    /// tape (tree validators, the generic event path) leave this 0.
+    /// Always 0: no validation path builds a structural index any more.
+    /// It timed the tape build the streaming validator once ran first; the
+    /// field stays only so the `SCVC0001` verdict-cache layout is unchanged.
     pub index_build_micros: usize,
-    /// Structural tape entries produced by the stage-1 indexer for the
-    /// validated document(s).
+    /// Always 0: no validation path builds a structural index any more.
+    /// It counted that tape's entries; the field stays only so the
+    /// `SCVC0001` verdict-cache layout is unchanged.
     pub tape_events: usize,
-    /// Subtree skips served as O(1) tape hops (cursor jump to the matching
-    /// end tag's tape entry) rather than byte rescans. On the tape-fed
-    /// path every lexical skip is a hop; the scalar reference lexer and
-    /// the depth-counting event path leave this 0.
+    /// One per skipped element that is not self-closing (a self-closing
+    /// element's skip only consumes its already-lexed end event). The
+    /// scalar reference lexer and the depth-counting event path leave this
+    /// 0.
     pub tape_skip_hops: usize,
     /// Certificates emitted by the certification pass (`--certify`): every
     /// static claim packaged for the independent checker.

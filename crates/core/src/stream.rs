@@ -16,9 +16,11 @@
 //!   are resolved to schema symbols through a reusable
 //!   [`SymCache`] (one alphabet hash per *distinct* name per document), and
 //!   a subsumed subtree (`(source, target) ∈ R_sub`) is skipped
-//!   **lexically** with [`PullParser::skip_subtree`] — a raw byte scan to
-//!   the matching end tag, no tokenization. The bytes and tag events so
-//!   avoided are recorded in [`ValidationStats::bytes_skipped`] /
+//!   **lexically** with [`PullParser::skip_subtree`] — one depth-counting
+//!   byte scan to the matching end tag, no tokenization. The parser lexes
+//!   each event on demand and builds nothing ahead of its cursor, so this
+//!   path holds O(depth) state. The bytes and tag events so avoided are
+//!   recorded in [`ValidationStats::bytes_skipped`] /
 //!   [`ValidationStats::events_avoided`].
 //! * [`StreamingCast::validate_events`] — the generic path over any event
 //!   iterator (sockets, replay logs, tests). Subsumed subtrees are skipped
@@ -38,9 +40,8 @@ use schemacast_automata::hot::state_flags;
 use schemacast_automata::{HotDfa, ProductIda, StateId};
 use schemacast_regex::{Alphabet, Sym, SymCache};
 use schemacast_schema::{ComplexType, SimpleType, TypeDef, TypeId};
-use schemacast_xml::{PullEvent, PullParser, StructuralIndex, XmlError};
+use schemacast_xml::{PullEvent, PullParser, XmlError};
 use std::borrow::Cow;
-use std::time::Instant;
 
 /// A streaming validator over a preprocessed [`CastContext`].
 pub struct StreamingCast<'a, 'b> {
@@ -49,17 +50,15 @@ pub struct StreamingCast<'a, 'b> {
 
 /// Reusable per-worker scratch state for the streaming fast path.
 ///
-/// Holds the lifetime-free [`SymCache`], the stage-1 structural tape
-/// buffer ([`StructuralIndex`], rebuilt in place per document), and the
-/// per-document product-IDA memo, so batch workers resolve labels, index
-/// documents, and fetch pair automata with zero steady-state allocation
-/// across documents. Create one per worker (or per call site) and pass it
-/// to [`StreamingCast::validate_str_with`] /
+/// Holds the lifetime-free [`SymCache`] and the per-document product-IDA
+/// memo, so batch workers resolve labels and fetch pair automata with zero
+/// steady-state allocation across documents. Both are sized by the
+/// schemas, never by a document. Create one per worker (or per call site)
+/// and pass it to [`StreamingCast::validate_str_with`] /
 /// [`StreamingCast::validate_pull`].
 #[derive(Debug, Default)]
 pub struct StreamScratch {
     syms: SymCache,
-    tape: StructuralIndex,
     pairs: PairMemo,
 }
 
@@ -175,10 +174,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
 
     /// [`validate_str`](StreamingCast::validate_str) with caller-provided
     /// scratch state — the batch engine passes one [`StreamScratch`] per
-    /// worker so repeated documents share allocations, including the
-    /// structural tape buffer, which is rebuilt in place here (timed into
-    /// [`ValidationStats::index_build_micros`]) and fed to the parser by
-    /// reference.
+    /// worker so repeated documents share allocations.
     ///
     /// # Errors
     /// Returns `Err` only for malformed XML.
@@ -188,17 +184,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         alphabet: &Alphabet,
         scratch: &mut StreamScratch,
     ) -> Result<(CastOutcome, ValidationStats), XmlError> {
-        // Destructure so the parser can borrow the tape while the driver
-        // mutably uses the other scratch parts.
-        let StreamScratch { syms, tape, pairs } = scratch;
-        let started = Instant::now();
-        tape.rebuild(text);
-        let index_build_micros =
-            usize::try_from(started.elapsed().as_micros()).unwrap_or(usize::MAX);
-        let mut parser = PullParser::with_index(text, tape);
-        let (outcome, mut stats) = self.validate_pull_inner(&mut parser, alphabet, syms, pairs)?;
-        stats.index_build_micros += index_build_micros;
-        Ok((outcome, stats))
+        self.validate_pull(&mut PullParser::new(text), alphabet, scratch)
     }
 
     /// Validates by driving a pull parser directly — the production fast
@@ -223,25 +209,13 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         alphabet: &Alphabet,
         scratch: &mut StreamScratch,
     ) -> Result<(CastOutcome, ValidationStats), XmlError> {
-        self.validate_pull_inner(parser, alphabet, &mut scratch.syms, &mut scratch.pairs)
-    }
-
-    fn validate_pull_inner<'t>(
-        &self,
-        parser: &mut PullParser<'t>,
-        alphabet: &Alphabet,
-        syms: &mut SymCache,
-        pairs: &mut PairMemo,
-    ) -> Result<(CastOutcome, ValidationStats), XmlError> {
+        let StreamScratch { syms, pairs } = scratch;
         syms.begin();
         pairs.begin(
             self.ctx.source().type_count(),
             self.ctx.target().type_count(),
         );
-        let mut stats = ValidationStats {
-            tape_events: parser.tape().len(),
-            ..ValidationStats::default()
-        };
+        let mut stats = ValidationStats::default();
         let mut stack: Vec<Frame<'a, 't>> = Vec::new();
         let mut seen_root = false;
 
@@ -262,10 +236,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                     }
                 }
                 PullEvent::Text(t) => {
-                    // The tape classified whitespace-only spans at build
-                    // time; the flag settles them without re-scanning.
-                    let known_ws = parser.last_text_all_ws();
-                    if !on_text(&mut stack, t, known_ws) {
+                    if !on_text(&mut stack, t) {
                         return Ok((CastOutcome::Invalid, stats));
                     }
                 }
@@ -328,7 +299,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                     if skip_depth > 0 {
                         continue;
                     }
-                    if !on_text(&mut stack, t, false) {
+                    if !on_text(&mut stack, t) {
                         return Ok((CastOutcome::Invalid, stats));
                     }
                 }
@@ -541,12 +512,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
 /// Handles character data against the innermost frame. Returns whether the
 /// text is admissible. The first run of a simple value stays borrowed; only
 /// a second run (CDATA boundary, comment split) forces an owned buffer.
-///
-/// `known_ws` is the tape's build-time classification: `true` proves the
-/// run is all ASCII whitespace (so mixed-content admissibility needs no
-/// re-scan), `false` means unknown and the full check runs — which also
-/// covers Unicode whitespace the tape never classifies.
-fn on_text<'t>(stack: &mut [Frame<'_, 't>], t: Cow<'t, str>, known_ws: bool) -> bool {
+fn on_text<'t>(stack: &mut [Frame<'_, 't>], t: Cow<'t, str>) -> bool {
     match stack.last_mut() {
         Some(Frame::Simple { text, .. }) => {
             match text {
@@ -555,7 +521,7 @@ fn on_text<'t>(stack: &mut [Frame<'_, 't>], t: Cow<'t, str>, known_ws: bool) -> 
             }
             true
         }
-        Some(Frame::Complex { .. }) | None => known_ws || all_xml_whitespace(&t),
+        Some(Frame::Complex { .. }) | None => all_xml_whitespace(&t),
     }
 }
 
@@ -636,10 +602,20 @@ mod tests {
         // And skipped *lexically*: bytes inside them were never tokenized.
         assert!(stats.bytes_skipped > 0);
         assert!(stats.events_avoided > 0);
-        // Every non-self-closing skip was an O(1) tape hop — no rescans.
+        // One hop per skipped element that is not self-closing.
         assert!(stats.tape_skip_hops >= 3);
-        // The tape-fed path records its stage-1 instrumentation.
-        assert!(stats.tape_events > 0);
+        // The skips scanned exactly the bytes after each skipped start tag
+        // up to and including its end tag.
+        let content = |open: &str, close: &str| {
+            let from = VALID.find(open).expect("start tag") + open.len();
+            VALID.find(close).expect("end tag") + close.len() - from
+        };
+        assert_eq!(
+            stats.bytes_skipped,
+            content("<ship>", "</ship>")
+                + content("<bill>", "</bill>")
+                + content("<items>", "</items>")
+        );
     }
 
     #[test]
@@ -709,7 +685,11 @@ mod tests {
             assert_eq!(oracle_stats.events_avoided, 0);
             assert_eq!(oracle_stats.tape_events, 0);
             assert_eq!(oracle_stats.tape_skip_hops, 0);
-            assert!(fast_stats.tape_events > 0, "tape built on {text}");
+            assert_eq!(
+                fast_stats.tape_skip_hops > 0,
+                fast_stats.bytes_skipped > 0,
+                "a skip of a non-self-closing element is one hop on {text}"
+            );
         }
     }
 

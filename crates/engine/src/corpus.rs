@@ -9,14 +9,14 @@
 //! O(corpus), regardless of how many files the tree holds.
 //!
 //! Large documents are memory-mapped ([`mmapio::Mmap`]) and streamed
-//! through the zero-copy tape validator straight off the mapping; small
+//! through the zero-copy streaming validator straight off the mapping; small
 //! ones (below `MMAP_THRESHOLD`) go through a reused per-worker read
 //! buffer instead, which beats the map/unmap syscall pair at that size.
 //! Either way a corpus run never materializes a list of document bodies.
 //! With a [`VerdictCache`], each document's content hash is looked up
 //! before parsing: hits replay the recorded verdict and stats without
 //! touching the validator, so a warm re-run after editing k of n files
-//! validates exactly k documents.
+//! validates exactly k documents. Without one, nothing is hashed.
 //!
 //! Reports are deterministic: items come back in *input order* — sorted
 //! walk order for [`CorpusSource::Dir`], line order for
@@ -275,8 +275,10 @@ impl<'c, 's> BatchEngine<'c, 's> {
             "injected corpus fault"
         );
 
-        let hash = content_hash(bytes);
-        let (outcome, stats, cached, insert) = match cache.and_then(|c| c.get(hash)) {
+        // The content hash only keys the verdict cache: a run without one
+        // neither hashes documents nor builds entries.
+        let keyed = cache.map(|c| (c, content_hash(bytes)));
+        let (outcome, stats, cached, insert) = match keyed.and_then(|(c, hash)| c.get(hash)) {
             Some(entry) => {
                 let (outcome, stats) = entry.replay();
                 (outcome, stats, true, None)
@@ -299,7 +301,9 @@ impl<'c, 's> BatchEngine<'c, 's> {
                         ),
                     },
                 };
-                let insert = CacheEntry::from_outcome(&outcome, stats).map(|e| (hash, e));
+                let insert = keyed.and_then(|(_, hash)| {
+                    CacheEntry::from_outcome(&outcome, stats).map(|e| (hash, e))
+                });
                 (outcome, stats, false, insert)
             }
         };

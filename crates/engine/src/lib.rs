@@ -14,7 +14,7 @@
 //! * **Documents** — [`BatchEngine::validate_corpus`] streams an on-disk
 //!   tree, a manifest, or a path list ([`CorpusSource`]) through a bounded
 //!   path queue with memory O(workers), mmap-or-read adaptive I/O, the
-//!   zero-copy tape validator, and an optional persistent content-hash
+//!   zero-copy streaming validator, and an optional persistent content-hash
 //!   [`VerdictCache`], so a re-run after editing k of n files revalidates
 //!   exactly k documents (see [`corpus`] and [`cache`]).
 //! * **Edited documents** — [`BatchEngine::validate_edited`] stays in

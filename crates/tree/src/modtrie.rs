@@ -10,9 +10,9 @@
 //! in-place key shifting ([`ModTrie::shift_children`]) so that recorded
 //! paths always refer to positions in the *current* tree.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct TrieNode {
     marked: bool,
     children: BTreeMap<u32, TrieNode>,
@@ -21,6 +21,42 @@ struct TrieNode {
 impl TrieNode {
     fn is_empty(&self) -> bool {
         !self.marked && self.children.is_empty()
+    }
+
+    /// A node with this mark and no children.
+    fn leaf(marked: bool) -> TrieNode {
+        TrieNode {
+            marked,
+            children: BTreeMap::new(),
+        }
+    }
+}
+
+impl Clone for TrieNode {
+    /// Copies the branches below through an explicit stack, for the same
+    /// reason as [`Drop`]: a derived clone would use one call-stack frame
+    /// per trie level.
+    fn clone(&self) -> TrieNode {
+        // One frame per level above the node being copied: the key its
+        // copy goes under, the parent's children still to copy, and the
+        // parent's copy so far.
+        let mut path: Vec<(u32, btree_map::Iter<'_, u32, TrieNode>, TrieNode)> = Vec::new();
+        let mut rest = self.children.iter();
+        let mut copy = TrieNode::leaf(self.marked);
+        loop {
+            if let Some((&key, child)) = rest.next() {
+                let parent_rest = std::mem::replace(&mut rest, child.children.iter());
+                let parent = std::mem::replace(&mut copy, TrieNode::leaf(child.marked));
+                path.push((key, parent_rest, parent));
+            } else {
+                let Some((key, parent_rest, mut parent)) = path.pop() else {
+                    return copy;
+                };
+                parent.children.insert(key, copy);
+                copy = parent;
+                rest = parent_rest;
+            }
+        }
     }
 }
 

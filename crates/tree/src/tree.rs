@@ -271,13 +271,16 @@ impl Doc {
         }
     }
 
-    /// Number of nodes in the subtree rooted at `id` (inclusive).
+    /// Number of nodes in the subtree rooted at `id` (inclusive). Walks an
+    /// explicit stack, so depth never consumes call-stack frames.
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        1 + self
-            .children(id)
-            .iter()
-            .map(|&c| self.subtree_size(c))
-            .sum::<usize>()
+        let mut size = 0;
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            size += 1;
+            stack.extend_from_slice(self.children(n));
+        }
+        size
     }
 
     /// Imports an XML element tree, interning labels into `alphabet`.

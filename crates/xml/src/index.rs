@@ -1,39 +1,36 @@
 //! The stage-1 structural index: one SWAR classification pass over the raw
-//! document producing a compact *tape* of markup boundaries.
+//! document producing a compact *tape* of markup boundaries, and the
+//! markup classification every lexer in this crate shares.
 //!
-//! This is the simdjson idea transplanted to XML. Before any tokenization
-//! happens, [`StructuralIndex::build`] scans the input once with the
-//! word-at-a-time kernels in [`crate::scan`], classifying every `<`, `>`,
-//! `&`, `"`, `'` and the multi-byte delimiters (`<!--`/`-->`,
-//! `<![CDATA[`/`]]>`, `<?`/`?>`, `<!DOCTYPE`) into a sequence of
-//! [`TapeEntry`] records:
+//! This is the simdjson idea transplanted to XML. [`StructuralIndex::build`]
+//! scans the input once with the word-at-a-time kernels in [`crate::scan`],
+//! classifying every `<`, `>`, `&`, `"`, `'` and the multi-byte delimiters
+//! (`<!--`/`-->`, `<![CDATA[`/`]]>`, `<?`/`?>`, `<!DOCTYPE`) into a
+//! sequence of [`TapeEntry`] records:
 //!
 //! * tag entries carry the offsets of their `<` and `>` (found with a
 //!   quote-aware scan, so `>` inside attribute values cannot split a tag);
-//! * text entries carry their byte span plus a *has-entity* flag (`&`
-//!   presence is classified here, so the entity-free fast path never
-//!   rescans the text);
-//! * comments and processing instructions produce **no** entries — the
-//!   tape-fed parser never visits them at all;
+//! * text entries carry their byte span plus a *has-entity* flag;
+//! * comments and processing instructions produce **no** entries;
 //! * start-tag entries are *paired* with their structurally matching end
 //!   tag during the same pass (a plain open-tag stack), recording both the
-//!   tape index to resume at and the number of tag events in between —
-//!   which is what turns [`crate::PullParser::skip_subtree`] into an O(1)
-//!   hop.
+//!   tape index to resume at and the number of tag events in between.
 //!
-//! The tape is deliberately **structural, not lexical**: names, attributes
-//! and entities are still lexed by the pull parser, but only inside spans
-//! whose boundaries the tape already knows. Malformed-markup errors
-//! therefore surface at event time exactly like the scalar lexer's; only
-//! unterminated-construct errors (comment/CDATA/PI/DOCTYPE that never
-//! close) are discovered during the scan and recorded as a terminal
-//! [`TapeError`] that the parser replays lazily — events before the error
-//! point are still delivered, matching the scalar lexer's laziness.
+//! Unterminated-construct errors (comment/CDATA/PI/DOCTYPE that never
+//! close) are recorded as a terminal [`TapeError`].
+//!
+//! **No validation path builds this tape.** The pull parser lexes each
+//! event on demand, and [`crate::PullParser::skip_subtree`] finds the
+//! matching end tag with one depth-counting scan that stores nothing.
+//! Writing a 20-byte entry for every tag and text run and reading it back
+//! cost more than the skip it fed. Both share this module's
+//! classification (`Markup`, `skip_element`), so the tape stays the
+//! reference the skip is tested against (its pairing is exactly where a
+//! skip must land, `tests/fuzz_smoke.rs`) and a standalone classifier that
+//! benchmarks time.
 //!
 //! The index is reusable: [`StructuralIndex::rebuild`] clears and refills
-//! the entry vector in place, so batch workers (one index per
-//! `StreamScratch`) classify thousands of documents with zero steady-state
-//! allocation.
+//! the entry vector in place.
 
 use crate::scan;
 
@@ -64,12 +61,11 @@ pub mod flags {
     /// Event-time lexing reproduces the scalar lexer's error for it.
     pub const UNCLOSED: u8 = 4;
     /// Every byte of the text span is XML whitespace (space, tab, CR, LF) —
-    /// set on [`super::EntryKind::Text`]. The validator uses this as a
-    /// *sound hint*: set means definitely ignorable between elements with
-    /// no re-scan; clear means "unknown" (the span may still be Unicode
-    /// whitespace, which the slow path re-checks). Entity-bearing spans
-    /// never carry it: `&` is not whitespace, and what an entity expands
-    /// to is event-time knowledge.
+    /// set on [`super::EntryKind::Text`]. A *sound hint*: set means
+    /// definitely ignorable between elements; clear means "unknown" (the
+    /// span may still be Unicode whitespace). Entity-bearing spans never
+    /// carry it: `&` is not whitespace, and what an entity expands to is
+    /// event-time knowledge.
     pub const ALL_WS: u8 = 8;
 }
 
@@ -107,9 +103,9 @@ pub struct TapeEntry {
     pub d: u32,
 }
 
-/// A scan error discovered while building the tape (an unterminated
-/// construct). The parser replays it *after* delivering every event that
-/// precedes the error point, matching the scalar lexer's laziness.
+/// A structural scan error: an unterminated construct found while building
+/// the tape, or a subtree skip that cannot reach its element's end tag.
+/// The pull parser reports it as an [`crate::XmlError`] at `offset`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeError {
     /// Byte offset the scalar lexer would report the error at.
@@ -228,38 +224,23 @@ impl Builder<'_, '_> {
     /// Classifies the markup starting at the `<` at `lt`; returns the next
     /// scan position, or `None` after recording a terminal error.
     fn markup(&mut self, lt: usize) -> Option<usize> {
-        match self.bytes.get(lt + 1) {
-            Some(b'!') => {
-                if self.starts_with(lt, b"<!--") {
-                    match scan::find_seq(self.bytes, lt + 4, b"-->") {
-                        Some(end) => Some(end + 3),
-                        None => self.fail(lt, "unterminated comment"),
+        let markup = Markup::at(self.bytes, lt, self.in_prolog);
+        match markup {
+            Markup::Comment | Markup::Pi | Markup::Cdata => match markup.close(self.bytes, lt) {
+                Ok(end) => {
+                    if markup == Markup::Cdata {
+                        self.in_prolog = false;
+                        self.push(EntryKind::Cdata, 0, lt, end - CDATA_CLOSE.len());
                     }
-                } else if self.starts_with(lt, b"<![CDATA[") {
-                    match scan::find_seq(self.bytes, lt + 9, b"]]>") {
-                        Some(end) => {
-                            self.in_prolog = false;
-                            self.push(EntryKind::Cdata, 0, lt, end);
-                            Some(end + 3)
-                        }
-                        None => self.fail(lt, "unterminated CDATA section"),
-                    }
-                } else if self.in_prolog && self.starts_with(lt, b"<!DOCTYPE") {
-                    self.doctype(lt)
-                } else {
-                    // `<!…` anywhere else lexes (and fails) as a start tag,
-                    // exactly like the scalar lexer.
-                    Some(self.open_tag(lt))
+                    Some(end)
                 }
-            }
-            Some(b'?') => match scan::find_seq(self.bytes, lt + 2, b"?>") {
-                Some(end) => Some(end + 2),
-                None => self.fail(lt, "unterminated processing instruction"),
+                Err(e) => self.fail(e.offset, e.message),
             },
-            Some(b'/') => {
+            Markup::Doctype => self.doctype(lt),
+            Markup::EndTag => {
                 self.in_prolog = false;
                 let idx = self.ix.entries.len() as u32;
-                match scan::find_byte(self.bytes, lt + 2, b'>') {
+                match end_tag_close(self.bytes, lt) {
                     Some(gt) => {
                         self.push(EntryKind::Close, 0, lt, gt);
                         self.tag_events += 1;
@@ -281,35 +262,21 @@ impl Builder<'_, '_> {
                     }
                 }
             }
-            _ => Some(self.open_tag(lt)),
+            Markup::StartTag => Some(self.open_tag(lt)),
         }
     }
 
     /// A start tag: quote-aware scan to its `>`.
     fn open_tag(&mut self, lt: usize) -> usize {
         self.in_prolog = false;
-        let mut at = lt + 1;
-        let gt = loop {
-            match scan::find_byte3(self.bytes, at, b'>', b'"', b'\'') {
-                Some(i) if self.bytes[i] == b'>' => break i,
-                Some(i) => match scan::find_byte(self.bytes, i + 1, self.bytes[i]) {
-                    Some(close_quote) => at = close_quote + 1,
-                    None => {
-                        // Unterminated attribute value: event-time lexing
-                        // reproduces the scalar error.
-                        self.push_flagged(EntryKind::Open, flags::UNCLOSED, lt, self.bytes.len());
-                        return self.bytes.len();
-                    }
-                },
-                None => {
-                    self.push_flagged(EntryKind::Open, flags::UNCLOSED, lt, self.bytes.len());
-                    return self.bytes.len();
-                }
-            }
+        let Some(gt) = start_tag_close(self.bytes, lt) else {
+            // No `>`, or an unterminated attribute value: event-time
+            // lexing reproduces the scalar error.
+            self.push_flagged(EntryKind::Open, flags::UNCLOSED, lt, self.bytes.len());
+            return self.bytes.len();
         };
-        let self_closing = gt > lt + 1 && self.bytes[gt - 1] == b'/';
         let idx = self.ix.entries.len() as u32;
-        if self_closing {
+        if self_closing(self.bytes, lt, gt) {
             self.push_flagged(EntryKind::Open, flags::SELF_CLOSING, lt, gt);
             self.tag_events += 2;
         } else {
@@ -411,9 +378,152 @@ impl Builder<'_, '_> {
         self.ix.error = Some(TapeError { offset, message });
         None
     }
+}
 
-    fn starts_with(&self, at: usize, prefix: &[u8]) -> bool {
-        self.bytes[at..].starts_with(prefix)
+/// What the markup opening at a `<` is, decided by its first bytes alone.
+///
+/// This is the one statement of the structural rules: the tape builder,
+/// the pull parser's lexer and its subtree skip all classify markup here,
+/// so a skip lands exactly where the tape pairs the element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Markup {
+    /// `<!--` … `-->`: produces no event.
+    Comment,
+    /// `<?` … `?>`: produces no event.
+    Pi,
+    /// `<![CDATA[` … `]]>`.
+    Cdata,
+    /// `<!DOCTYPE`, recognised only in the prolog.
+    Doctype,
+    /// `</`.
+    EndTag,
+    /// Anything else, including any other `<!…`, lexes as a start tag.
+    StartTag,
+}
+
+/// The delimiter that closes a CDATA section.
+const CDATA_CLOSE: &[u8] = b"]]>";
+
+impl Markup {
+    /// Classifies the markup at the `<` at `lt`.
+    #[inline]
+    pub(crate) fn at(bytes: &[u8], lt: usize, in_prolog: bool) -> Markup {
+        match bytes.get(lt + 1) {
+            Some(b'!') => {
+                let rest = &bytes[lt..];
+                if rest.starts_with(b"<!--") {
+                    Markup::Comment
+                } else if rest.starts_with(b"<![CDATA[") {
+                    Markup::Cdata
+                } else if in_prolog && rest.starts_with(b"<!DOCTYPE") {
+                    Markup::Doctype
+                } else {
+                    Markup::StartTag
+                }
+            }
+            Some(b'?') => Markup::Pi,
+            Some(b'/') => Markup::EndTag,
+            _ => Markup::StartTag,
+        }
+    }
+
+    /// For a comment, PI or CDATA section opening at `lt`: the offset just
+    /// past its closing delimiter, or the unterminated-construct error at
+    /// `lt`.
+    ///
+    /// # Panics
+    /// Panics for the other kinds, which have no closing delimiter.
+    #[inline]
+    pub(crate) fn close(self, bytes: &[u8], lt: usize) -> Result<usize, TapeError> {
+        let (open, close, message): (usize, &[u8], _) = match self {
+            Markup::Comment => (4, b"-->", "unterminated comment"),
+            Markup::Pi => (2, b"?>", "unterminated processing instruction"),
+            Markup::Cdata => (9, CDATA_CLOSE, "unterminated CDATA section"),
+            Markup::Doctype | Markup::EndTag | Markup::StartTag => {
+                unreachable!("{self:?} markup has no closing delimiter")
+            }
+        };
+        match scan::find_seq(bytes, lt + open, close) {
+            Some(end) => Ok(end + close.len()),
+            None => Err(TapeError {
+                offset: lt,
+                message,
+            }),
+        }
+    }
+}
+
+/// The `>` closing the start tag at `lt`, found by a quote-aware scan so
+/// that `>` inside an attribute value cannot end the tag; `None` when the
+/// input ends first, or inside an attribute value.
+#[inline]
+pub(crate) fn start_tag_close(bytes: &[u8], lt: usize) -> Option<usize> {
+    let mut at = lt + 1;
+    loop {
+        let i = scan::find_byte3(bytes, at, b'>', b'"', b'\'')?;
+        if bytes[i] == b'>' {
+            return Some(i);
+        }
+        at = scan::find_byte(bytes, i + 1, bytes[i])? + 1;
+    }
+}
+
+/// Whether the start tag from `lt` to its `>` at `gt` closes itself: the
+/// byte before its `>` is `/`.
+#[inline]
+pub(crate) fn self_closing(bytes: &[u8], lt: usize, gt: usize) -> bool {
+    gt > lt + 1 && bytes[gt - 1] == b'/'
+}
+
+/// The `>` closing the end tag at `lt`: its first `>`.
+#[inline]
+pub(crate) fn end_tag_close(bytes: &[u8], lt: usize) -> Option<usize> {
+    scan::find_byte(bytes, lt + 2, b'>')
+}
+
+/// Skips the rest of an element whose start tag ends just before `from`,
+/// counting depth under the structural rules and storing nothing.
+///
+/// Returns the offset just past the matching end tag's `>` and the tag
+/// events up to and including it (a self-closing tag counts two) — the
+/// resume point and event count [`StructuralIndex`] pairs the element
+/// with. Names are not compared. Fails with the unterminated-construct
+/// error of a comment, CDATA section or PI that opens inside the element,
+/// and otherwise, when the element never closes, with "unexpected end of
+/// input inside element" at the end of input.
+pub(crate) fn skip_element(bytes: &[u8], from: usize) -> Result<(usize, usize), TapeError> {
+    let eof = TapeError {
+        offset: bytes.len(),
+        message: "unexpected end of input inside element",
+    };
+    let mut depth = 1usize;
+    let mut events = 0usize;
+    let mut pos = from;
+    loop {
+        let lt = scan::find_byte(bytes, pos, b'<').ok_or(eof)?;
+        let markup = Markup::at(bytes, lt, false);
+        pos = match markup {
+            Markup::EndTag => {
+                let gt = end_tag_close(bytes, lt).ok_or(eof)?;
+                events += 1;
+                depth -= 1;
+                if depth == 0 {
+                    return Ok((gt + 1, events));
+                }
+                gt + 1
+            }
+            Markup::StartTag | Markup::Doctype => {
+                let gt = start_tag_close(bytes, lt).ok_or(eof)?;
+                if self_closing(bytes, lt, gt) {
+                    events += 2;
+                } else {
+                    events += 1;
+                    depth += 1;
+                }
+                gt + 1
+            }
+            Markup::Comment | Markup::Pi | Markup::Cdata => markup.close(bytes, lt)?,
+        };
     }
 }
 

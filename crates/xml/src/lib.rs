@@ -10,9 +10,13 @@
 //! * [`parse_document`] — elements, attributes, text, CDATA, comments, PIs,
 //!   entity/character references, `DOCTYPE` internal-subset capture.
 //! * [`serialize`] — compact and pretty serialization with escaping.
-//! * [`pull`] — the tape-fed streaming parser, running off the stage-1
-//!   structural index in [`index`] (built with the SWAR kernels in
-//!   [`scan`]); [`scalar`] keeps the per-byte reference lexer it replaced.
+//! * [`pull`] — the streaming parser: it lexes each event on demand from
+//!   one byte cursor with the SWAR kernels in [`scan`], and skips a
+//!   subtree with one depth-counting scan; [`scalar`] keeps the per-byte
+//!   reference lexer it is held to.
+//! * [`index`] — the stage-1 structural tape: the markup classification
+//!   every lexer here shares, and a standalone classifier that the skip is
+//!   tested and benchmarked against. No validation path builds it.
 
 pub mod error;
 pub mod index;

@@ -1,5 +1,5 @@
-//! A zero-copy pull (streaming) XML parser, fed by the stage-1 structural
-//! index.
+//! A zero-copy pull (streaming) XML parser that lexes each event on
+//! demand.
 //!
 //! Yields borrowed [`PullEvent`]s one at a time with O(depth) memory — the
 //! substrate for streaming schema-cast validation, which realizes the
@@ -9,13 +9,15 @@
 //!
 //! Four properties make this the hot-path tokenizer:
 //!
-//! * **Tape-fed dispatch.** Construction runs the SWAR structural indexer
-//!   ([`crate::index::StructuralIndex`]) over the input once; `next()` is
-//!   then a walk over precomputed [`TapeEntry`]
-//!   records — no per-byte `position()` scans, no `starts_with` dispatch
-//!   chains, and comments/PIs are never visited at all. Only the *interiors*
-//!   of tags and entity-bearing text are lexed, inside spans whose
-//!   boundaries the tape already knows.
+//! * **On-demand lexing from one byte cursor.** `next()` lexes the event
+//!   at the cursor and nothing beyond it. A text run ends at the next `<`,
+//!   found by a SWAR scan ([`crate::scan`]) that notes `&` on the way. At
+//!   each `<` the markup is classified by its first bytes under the same
+//!   rules the structural index applies ([`crate::index`]); comments and
+//!   PIs produce no event and a run of them is passed in a loop. A start
+//!   tag is read once, by the loop that validates and counts its
+//!   attributes, and an end tag is one slice compare against the open
+//!   element's name. No tape or other buffer grows with the document.
 //! * **Borrowed events.** Element and attribute names are `&str` slices of
 //!   the input; text runs and attribute values are [`Cow`]s that stay
 //!   borrowed unless entity resolution forces an owned buffer. On the
@@ -25,22 +27,22 @@
 //!   assigned a dense per-document [`NameId`] by a fast hash table, so
 //!   downstream consumers (the streaming cast, the tree builder) hash each
 //!   *distinct* name once and afterwards work with integer ids.
-//! * **O(1) subtree skipping.** The tape pairs every start tag with its
-//!   structurally matching end tag at build time, so
-//!   [`PullParser::skip_subtree`] is a single hop: set the cursor to the
-//!   recorded resume index and the byte position past the recorded `>`.
-//!   No byte between the tags is ever rescanned — this is what makes the
-//!   paper's `R_sub` skip *lexical* rather than merely semantic, and it is
-//!   measured by [`SubtreeSkip::hops`].
+//! * **Subtree skipping by one depth-counting scan.**
+//!   [`PullParser::skip_subtree`] scans from the cursor to the matching end
+//!   tag under the structural index's rules, counting depth; it stores and
+//!   tokenizes nothing. This is what makes the paper's `R_sub` skip
+//!   *lexical* rather than merely semantic, and it lands exactly where
+//!   [`StructuralIndex`] pairs the element.
 //!
-//! The scalar reference lexer this replaced lives on as
-//! [`crate::scalar::ScalarParser`]; a property suite
-//! (`tests/tape_props.rs`) holds the two to event-for-event, error-for-error
-//! equivalence. The DOM parser in [`crate::parser`] is a thin loop over
-//! these events; there is exactly one production tokenizer in the workspace.
+//! The scalar reference lexer lives on as
+//! [`crate::scalar::ScalarParser`]; property suites (`tests/tape_props.rs`,
+//! `tests/fuzz_smoke.rs`) hold the two to event-for-event, error-for-error
+//! equivalence, and `tests/fuzz_smoke.rs` holds every skip to the index's
+//! pairing. The DOM parser in [`crate::parser`] is a thin loop over these
+//! events; there is exactly one production tokenizer in the workspace.
 
 use crate::error::XmlError;
-use crate::index::{flags, EntryKind, StructuralIndex, TapeEntry};
+use crate::index::{skip_element, Markup, StructuralIndex};
 use crate::scan;
 use std::borrow::Cow;
 
@@ -347,29 +349,10 @@ pub struct SubtreeSkip {
     /// count as two, matching the event stream they replace; the skipped
     /// element's own end tag is included).
     pub events: usize,
-    /// Tape hops the skip took: 1 on the O(1) indexed path, 0 when the
+    /// One per skipped element that is not self-closing; 0 when the
     /// element was self-closing (its end event was already lexed). The
-    /// scalar reference parser always reports 0 — its skip rescans bytes.
+    /// scalar reference parser always reports 0.
     pub hops: usize,
-}
-
-/// How the parser holds its structural tape: built and owned by
-/// [`PullParser::new`], or borrowed from a caller-managed reusable buffer
-/// via [`PullParser::with_index`] (the batch engine's per-worker scratch).
-#[derive(Clone)]
-enum TapeRef<'a> {
-    Owned(StructuralIndex),
-    Borrowed(&'a StructuralIndex),
-}
-
-/// An open element: its interned name plus the precomputed skip target.
-#[derive(Clone, Copy)]
-struct OpenElem {
-    id: NameId,
-    /// Tape index just past the matching close (`u32::MAX` if unmatched).
-    resume: u32,
-    /// Tag events within the subtree (including the matching end tag).
-    events: u32,
 }
 
 /// A streaming parser over an in-memory UTF-8 document.
@@ -390,24 +373,21 @@ struct OpenElem {
 pub struct PullParser<'a> {
     text: &'a str,
     bytes: &'a [u8],
-    tape: TapeRef<'a>,
-    /// Next tape entry to consume.
-    cursor: usize,
-    /// Byte cursor for event-time lexing (tag interiors, entities).
+    /// The byte cursor every event is lexed from.
     pos: usize,
     /// Byte offset of the markup (or text run) of the last event returned.
     event_start: usize,
-    stack: Vec<OpenElem>,
+    /// The interned names of the open elements.
+    stack: Vec<NameId>,
     names: NameTable<'a>,
     state: State,
     /// Queued event (self-closing tags emit two events).
     queued: Option<PullEvent<'a>>,
     /// Whether the document element has already been seen.
     seen_root: bool,
-    /// Whether the most recent [`PullEvent::Text`] came from a tape span
-    /// classified [`flags::ALL_WS`] at build time (see
-    /// [`last_text_all_ws`](Self::last_text_all_ws)).
-    last_text_all_ws: bool,
+    /// Whether only whitespace, comments and PIs have been seen so far:
+    /// the only region where `<!DOCTYPE` is recognised.
+    in_prolog: bool,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -418,24 +398,11 @@ enum State {
 }
 
 impl<'a> PullParser<'a> {
-    /// Creates a parser over `input`, building its structural index.
+    /// Creates a parser over `input`.
     pub fn new(input: &'a str) -> PullParser<'a> {
-        PullParser::from_tape(input, TapeRef::Owned(StructuralIndex::build(input)))
-    }
-
-    /// Creates a parser over `input` running off a caller-provided index
-    /// (which must have been built — or rebuilt — for exactly this input).
-    /// Lets batch workers reuse one tape allocation across documents.
-    pub fn with_index(input: &'a str, index: &'a StructuralIndex) -> PullParser<'a> {
-        PullParser::from_tape(input, TapeRef::Borrowed(index))
-    }
-
-    fn from_tape(input: &'a str, tape: TapeRef<'a>) -> PullParser<'a> {
         PullParser {
             text: input,
             bytes: input.as_bytes(),
-            tape,
-            cursor: 0,
             pos: 0,
             event_start: 0,
             stack: Vec::new(),
@@ -443,18 +410,16 @@ impl<'a> PullParser<'a> {
             state: State::Active,
             queued: None,
             seen_root: false,
-            last_text_all_ws: false,
+            in_prolog: true,
         }
     }
 
-    /// The structural tape this parser runs off (owned or borrowed) —
-    /// consumers read its length for instrumentation.
-    #[inline]
-    pub fn tape(&self) -> &StructuralIndex {
-        match &self.tape {
-            TapeRef::Owned(ix) => ix,
-            TapeRef::Borrowed(ix) => ix,
-        }
+    /// Identical to [`new`](Self::new): the parser lexes on demand and
+    /// never reads `index`. Kept so that callers that build a
+    /// [`StructuralIndex`] for the same input, as perfbench's traced pass
+    /// does, keep compiling.
+    pub fn with_index(input: &'a str, _index: &'a StructuralIndex) -> PullParser<'a> {
+        PullParser::new(input)
     }
 
     /// Current element nesting depth.
@@ -471,19 +436,6 @@ impl<'a> PullParser<'a> {
     /// run) began.
     pub fn last_event_offset(&self) -> usize {
         self.event_start
-    }
-
-    /// Whether the most recently returned [`PullEvent::Text`] is *known*
-    /// to be all XML whitespace, straight off the structural tape's
-    /// build-time classification — no re-scan.
-    ///
-    /// This is a sound hint, not a complete one: `true` means every byte
-    /// of the span is space/tab/CR/LF; `false` means unknown (CDATA
-    /// sections and entity-bearing spans always report `false`, and the
-    /// caller must re-check if it cares about Unicode whitespace).
-    #[inline]
-    pub fn last_text_all_ws(&self) -> bool {
-        self.last_text_all_ws
     }
 
     /// Number of distinct element names interned so far.
@@ -576,16 +528,51 @@ impl<'a> PullParser<'a> {
         Ok(value)
     }
 
-    /// Emits the event for an `Open` tape entry: lex the name and
-    /// attributes between the recorded `<` and `>`.
-    fn open_event(&mut self, entry: TapeEntry) -> Result<PullEvent<'a>, XmlError> {
-        let lt = entry.a as usize;
-        self.pos = lt;
+    /// The character-data run at the cursor, up to the next `<` or the end
+    /// of input. One forward scan finds its end and notes `&` on the way,
+    /// so the entity-free path never rescans the run.
+    fn text_event(&mut self) -> Result<PullEvent<'a>, XmlError> {
+        let start = self.pos;
+        self.event_start = start;
+        let (end, has_amp) = match scan::find_byte2(self.bytes, start, b'<', b'&') {
+            Some(i) if self.bytes[i] == b'<' => (i, false),
+            Some(amp) => (
+                scan::find_byte(self.bytes, amp + 1, b'<').unwrap_or(self.bytes.len()),
+                true,
+            ),
+            None => (self.bytes.len(), false),
+        };
+        let text = if has_amp {
+            Cow::Owned(self.expand_entities(start, end)?)
+        } else {
+            Cow::Borrowed(&self.text[start..end])
+        };
+        self.pos = end;
+        Ok(PullEvent::Text(text))
+    }
+
+    /// The CDATA section at `lt`, delivered as a borrowed text run.
+    fn cdata_event(&mut self, lt: usize) -> Result<PullEvent<'a>, XmlError> {
+        if self.stack.is_empty() {
+            return Err(self.err("character data outside the root element"));
+        }
+        self.event_start = lt;
+        self.pos = Markup::Cdata
+            .close(self.bytes, lt)
+            .map_err(|e| self.err_at(e.offset, e.message))?;
+        let content = &self.text[lt + "<![CDATA[".len()..self.pos - "]]>".len()];
+        Ok(PullEvent::Text(Cow::Borrowed(content)))
+    }
+
+    /// The start tag at `lt`, read once: the loop that validates and counts
+    /// its attributes stops at the tag's own `>`.
+    fn start_event(&mut self, lt: usize) -> Result<PullEvent<'a>, XmlError> {
         if self.stack.is_empty() {
             if self.seen_root {
                 return Err(self.err("content after document element"));
             }
             self.seen_root = true;
+            self.in_prolog = false;
         }
         self.event_start = lt;
         self.pos = lt + 1;
@@ -616,11 +603,7 @@ impl<'a> PullParser<'a> {
                 Some(b'>') => {
                     let attributes = Attrs::from_span(self.text, attr_start, count);
                     self.pos += 1;
-                    self.stack.push(OpenElem {
-                        id,
-                        resume: entry.c,
-                        events: entry.d,
-                    });
+                    self.stack.push(id);
                     return Ok(PullEvent::Start {
                         name,
                         id,
@@ -646,34 +629,27 @@ impl<'a> PullParser<'a> {
         }
     }
 
-    /// Emits the event for a `Close` tape entry. The close name is compared
-    /// byte-for-byte against the open element's interned name — no second
-    /// intern, and matching names imply matching ids.
-    fn close_event(&mut self, entry: TapeEntry) -> Result<PullEvent<'a>, XmlError> {
-        let lt = entry.a as usize;
-        self.pos = lt;
-        if self.stack.is_empty() {
+    /// The end tag at `lt`. The bytes after `</` are compared with the open
+    /// element's interned name, then `>` is expected — no second intern,
+    /// and matching names imply matching ids. Anything else (whitespace
+    /// before `>`, another name, a malformed tag) falls through to the
+    /// scalar-identical slow path, so errors keep exact parity.
+    fn end_event(&mut self, lt: usize) -> Result<PullEvent<'a>, XmlError> {
+        let Some(&open) = self.stack.last() else {
             return Err(self.err("expected an element name, found an end tag"));
-        }
+        };
         self.event_start = lt;
-        // Fast path: the tape already recorded this tag's `>`, and on
-        // well-formed input the bytes between `</` and `>` are exactly the
-        // open element's name — one slice compare replaces the per-byte
-        // name scan. Any mismatch (trailing whitespace, wrong name,
-        // malformed tag) falls through to the scalar-identical slow path
-        // so errors keep exact parity.
-        if entry.flags & flags::UNCLOSED == 0 {
-            let open = *self.stack.last().expect("checked non-empty");
-            let open_name = self.names.get(open.id);
-            let gt = entry.b as usize;
-            if self.bytes.get(lt + 2..gt) == Some(open_name.as_bytes()) {
-                self.stack.pop();
-                self.pos = gt + 1;
-                return Ok(PullEvent::End {
-                    name: open_name,
-                    id: open.id,
-                });
-            }
+        let open_name = self.names.get(open);
+        let gt = lt + 2 + open_name.len();
+        if self.bytes.get(lt + 2..gt) == Some(open_name.as_bytes())
+            && self.bytes.get(gt) == Some(&b'>')
+        {
+            self.stack.pop();
+            self.pos = gt + 1;
+            return Ok(PullEvent::End {
+                name: open_name,
+                id: open,
+            });
         }
         self.pos = lt + 2;
         let close_name = self.name()?;
@@ -682,8 +658,7 @@ impl<'a> PullParser<'a> {
             return Err(self.err("malformed end tag"));
         }
         self.pos += 1;
-        let open = self.stack.pop().expect("checked non-empty");
-        let open_name = self.names.get(open.id);
+        self.stack.pop();
         if open_name != close_name {
             return Err(self.err(&format!(
                 "mismatched end tag: expected </{open_name}>, found </{close_name}>"
@@ -691,14 +666,13 @@ impl<'a> PullParser<'a> {
         }
         Ok(PullEvent::End {
             name: close_name,
-            id: open.id,
+            id: open,
         })
     }
 
-    /// Emits the event for a `Doctype` tape entry, re-lexing the details
-    /// from the recorded span.
-    fn doctype_event(&mut self, entry: TapeEntry) -> Result<PullEvent<'a>, XmlError> {
-        let lt = entry.a as usize;
+    /// The `<!DOCTYPE …>` declaration at `lt`.
+    fn doctype_event(&mut self, lt: usize) -> Result<PullEvent<'a>, XmlError> {
+        self.in_prolog = false;
         self.event_start = lt;
         self.pos = lt + "<!DOCTYPE".len();
         self.skip_ws();
@@ -726,29 +700,7 @@ impl<'a> PullParser<'a> {
         Ok(PullEvent::Doctype { name, internal })
     }
 
-    /// The tape ran out: replay the builder's terminal scan error if there
-    /// is one, otherwise check document-level completeness.
-    fn end_of_tape(&mut self) -> Result<Option<PullEvent<'a>>, XmlError> {
-        if let Some(e) = self.tape().error() {
-            // One precedence nit the scalar lexer resolves the other way:
-            // outside the root it reports stray CDATA before noticing the
-            // section never closes.
-            if e.message == "unterminated CDATA section" && self.stack.is_empty() {
-                return Err(self.err_at(e.offset, "character data outside the root element"));
-            }
-            return Err(self.err_at(e.offset, e.message));
-        }
-        self.pos = self.bytes.len();
-        if !self.stack.is_empty() {
-            return Err(self.err("unexpected end of input inside element"));
-        }
-        if !self.seen_root {
-            return Err(self.err("expected a document element"));
-        }
-        self.state = State::Done;
-        Ok(None)
-    }
-
+    /// Lexes the next event at the cursor.
     fn advance(&mut self) -> Result<Option<PullEvent<'a>>, XmlError> {
         if let Some(e) = self.queued.take() {
             return Ok(Some(e));
@@ -756,65 +708,51 @@ impl<'a> PullParser<'a> {
         if self.state != State::Active {
             return Ok(None);
         }
+        // Comments and PIs produce no event; a run of them is passed here,
+        // one iteration each.
         loop {
-            let Some(&entry) = self.tape().entries().get(self.cursor) else {
-                return self.end_of_tape();
-            };
-            self.cursor += 1;
-            match entry.kind {
-                EntryKind::Text => {
-                    let (start, end) = (entry.a as usize, entry.b as usize);
-                    if self.stack.is_empty() {
-                        // Only whitespace is allowed outside the root. The
-                        // tape flag settles clean spans with no re-scan.
-                        if entry.flags & flags::ALL_WS == 0 {
-                            if let Some(i) = self.bytes[start..end]
-                                .iter()
-                                .position(|&b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-                            {
-                                self.pos = start + i;
-                                return Err(self.err(
-                                    "expected markup, found character data outside the root element",
-                                ));
-                            }
-                        }
-                        self.pos = end;
-                        continue;
+            if self.stack.is_empty() {
+                // Outside the root only whitespace and markup may appear.
+                self.skip_ws();
+                if self.pos == self.bytes.len() {
+                    if !self.seen_root {
+                        return Err(self.err("expected a document element"));
                     }
-                    self.event_start = start;
-                    let text = if entry.flags & flags::HAS_AMP != 0 {
-                        Cow::Owned(self.expand_entities(start, end)?)
-                    } else {
-                        Cow::Borrowed(&self.text[start..end])
-                    };
-                    self.pos = end;
-                    self.last_text_all_ws = entry.flags & flags::ALL_WS != 0;
-                    return Ok(Some(PullEvent::Text(text)));
+                    self.state = State::Done;
+                    return Ok(None);
                 }
-                EntryKind::Open => return self.open_event(entry).map(Some),
-                EntryKind::Close => return self.close_event(entry).map(Some),
-                EntryKind::Cdata => {
-                    let lt = entry.a as usize;
-                    if self.stack.is_empty() {
-                        self.pos = lt;
-                        return Err(self.err("character data outside the root element"));
-                    }
-                    self.event_start = lt;
-                    let content = &self.text[lt + 9..entry.b as usize];
-                    self.pos = entry.b as usize + 3;
-                    // CDATA content is never classified on the tape.
-                    self.last_text_all_ws = false;
-                    return Ok(Some(PullEvent::Text(Cow::Borrowed(content))));
+            }
+            let lt = self.pos;
+            match self.peek() {
+                Some(b'<') => {}
+                Some(_) if self.stack.is_empty() => {
+                    return Err(
+                        self.err("expected markup, found character data outside the root element")
+                    )
                 }
-                EntryKind::Doctype => return self.doctype_event(entry).map(Some),
+                Some(_) => return self.text_event().map(Some),
+                None => return Err(self.err("unexpected end of input inside element")),
+            }
+            let markup = Markup::at(self.bytes, lt, self.in_prolog);
+            match markup {
+                Markup::Comment | Markup::Pi => {
+                    self.pos = markup
+                        .close(self.bytes, lt)
+                        .map_err(|e| self.err_at(e.offset, e.message))?;
+                }
+                Markup::Cdata => return self.cdata_event(lt).map(Some),
+                Markup::Doctype => return self.doctype_event(lt).map(Some),
+                Markup::EndTag => return self.end_event(lt).map(Some),
+                Markup::StartTag => return self.start_event(lt).map(Some),
             }
         }
     }
 
-    /// Skips the content and end tag of the innermost open element in O(1):
-    /// the structural index paired the tags at build time, so this is a
-    /// single hop to the recorded resume point — no byte in between is
-    /// rescanned (reported as [`SubtreeSkip::hops`]).
+    /// Skips the content and end tag of the innermost open element with one
+    /// depth-counting scan from the cursor: markup is classified under the
+    /// structural index's rules (quote-aware start tags, end tags to their
+    /// first `>`, comments, CDATA and PIs jumped over), nothing is stored
+    /// and nothing is tokenized.
     ///
     /// Must be called *just after* the element's [`PullEvent::Start`] was
     /// returned. The element's own end tag is consumed; the next event is
@@ -826,12 +764,14 @@ impl<'a> PullParser<'a> {
     /// well-formedness *checking* for speed, which is exactly the paper's
     /// cost model (work proportional to the decided part of the document).
     /// On well-formed input it lands byte-for-byte where depth-counted
-    /// event consumption would (property-tested).
+    /// event consumption would, and on any input exactly where
+    /// [`StructuralIndex`] pairs the element (both property-tested).
     ///
     /// # Errors
-    /// Returns `Err` if the input ends before the subtree closes, if the
-    /// scan found an unterminated comment/CDATA/PI, or if no element is
-    /// open.
+    /// Returns `Err` if no element is open, with the unterminated-construct
+    /// error of a comment, CDATA section or PI that opens inside the
+    /// element, and otherwise with "unexpected end of input inside element"
+    /// at the end of input when the element never closes.
     pub fn skip_subtree(&mut self) -> Result<SubtreeSkip, XmlError> {
         if let Some(queued) = self.queued.take() {
             // A self-closing element: its End event is already lexed and
@@ -842,24 +782,14 @@ impl<'a> PullParser<'a> {
         if self.stack.is_empty() || self.state != State::Active {
             return Err(self.err("skip_subtree called with no open element"));
         }
-        let open = *self.stack.last().expect("checked non-empty");
-        if open.resume == u32::MAX {
-            // The subtree never closes. Surface the builder's scan error if
-            // it recorded one; otherwise the input simply ran out.
-            return Err(match self.tape().error() {
-                Some(e) => self.err_at(e.offset, e.message),
-                None => self.err_at(self.bytes.len(), "unexpected end of input inside element"),
-            });
-        }
         let start = self.pos;
-        let close = self.tape().entries()[open.resume as usize - 1];
-        debug_assert_eq!(close.kind, EntryKind::Close);
-        self.cursor = open.resume as usize;
-        self.pos = close.b as usize + 1;
+        let (end, events) =
+            skip_element(self.bytes, start).map_err(|e| self.err_at(e.offset, e.message))?;
+        self.pos = end;
         self.stack.pop();
         Ok(SubtreeSkip {
-            bytes: self.pos - start,
-            events: open.events as usize,
+            bytes: end - start,
+            events,
             hops: 1,
         })
     }
@@ -1136,7 +1066,7 @@ mod tests {
         let skipped = p.skip_subtree().expect("skips");
         assert!(skipped.bytes > 0);
         assert_eq!(skipped.events, 5); // <inner>, </inner>, <x/> (×2), </skip>
-        assert_eq!(skipped.hops, 1); // one indexed hop, zero bytes rescanned
+        assert_eq!(skipped.hops, 1); // one hop: the element is not self-closing
         assert!(
             matches!(p.next().unwrap().unwrap(), PullEvent::Start { name, .. } if name == "next")
         );
@@ -1189,6 +1119,7 @@ mod tests {
         assert!(p.skip_subtree().is_err());
     }
 
+    /// `with_index` ignores the index: it is `new` under another name.
     #[test]
     fn with_index_runs_off_a_reused_tape() {
         let mut tape = StructuralIndex::new();

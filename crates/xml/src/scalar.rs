@@ -1,15 +1,14 @@
-//! The scalar reference lexer: the per-byte pull parser the tape-fed
-//! [`crate::PullParser`] replaced on the hot path.
+//! The scalar reference lexer: a per-byte pull parser the production
+//! [`crate::PullParser`] is held to.
 //!
 //! Kept as an executable specification. [`ScalarParser`] lexes directly off
-//! the byte stream with `starts_with` dispatch and per-byte scans — no
-//! structural index — and the differential property suite
-//! (`tests/tape_props.rs`, `tests/fuzz_smoke.rs`) holds the production
-//! parser to event-for-event and error-for-error equivalence with it on
-//! both well-formed and adversarially malformed input. Its per-byte scans
-//! do go through the shared chunked [`crate::scan`] kernels, so the two
-//! implementations also share one "find the next interesting byte"
-//! implementation.
+//! the byte stream with `starts_with` dispatch and per-byte scans, and the
+//! differential property suite (`tests/tape_props.rs`,
+//! `tests/fuzz_smoke.rs`) holds the production parser to event-for-event
+//! and error-for-error equivalence with it on both well-formed and
+//! adversarially malformed input. Its per-byte scans do go through the
+//! shared chunked [`crate::scan`] kernels, so the two implementations also
+//! share one "find the next interesting byte" implementation.
 //!
 //! It is *not* used by the validation paths; new consumers want
 //! [`crate::PullParser`].
@@ -21,9 +20,9 @@ use crate::pull::{
 use crate::scan;
 use std::borrow::Cow;
 
-/// A streaming parser over an in-memory UTF-8 document, lexing scalar-wise
-/// (no structural index). Same event stream and error behavior as
-/// [`crate::PullParser`] — property-enforced.
+/// A streaming parser over an in-memory UTF-8 document, lexing scalar-wise.
+/// Same event stream and error behavior as [`crate::PullParser`] —
+/// property-enforced.
 #[derive(Clone)]
 pub struct ScalarParser<'a> {
     text: &'a str,
@@ -250,19 +249,40 @@ impl<'a> ScalarParser<'a> {
     }
 
     fn document_event(&mut self) -> Result<Option<PullEvent<'a>>, XmlError> {
-        // Between events inside the document.
-        if self.stack.is_empty() {
-            // Only misc allowed outside the root; find the root start tag or
-            // the end of input.
-            self.skip_ws();
-            if self.pos == self.bytes.len() {
-                if !self.seen_root {
-                    return Err(self.err("expected a document element"));
+        // Comments and PIs produce no event: a run of them is passed here,
+        // one iteration each.
+        loop {
+            // Between events inside the document.
+            if self.stack.is_empty() {
+                // Only misc allowed outside the root; find the root start
+                // tag or the end of input.
+                self.skip_ws();
+                if self.pos == self.bytes.len() {
+                    if !self.seen_root {
+                        return Err(self.err("expected a document element"));
+                    }
+                    self.state = State::Done;
+                    return Ok(None);
                 }
-                self.state = State::Done;
-                return Ok(None);
+            }
+            if self.starts_with("<!--") {
+                let end = self
+                    .find_from(self.pos + 4, b"-->")
+                    .ok_or_else(|| self.err("unterminated comment"))?;
+                self.pos = end + 3;
+            } else if self.starts_with("<?") {
+                let end = self
+                    .find_from(self.pos + 2, b"?>")
+                    .ok_or_else(|| self.err("unterminated processing instruction"))?;
+                self.pos = end + 2;
+            } else {
+                return self.event();
             }
         }
+    }
+
+    /// The event at the cursor, which is not at a comment or PI.
+    fn event(&mut self) -> Result<Option<PullEvent<'a>>, XmlError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input inside element")),
             Some(b'<') => {
@@ -293,12 +313,6 @@ impl<'a> ScalarParser<'a> {
                         name: close_name,
                         id: close,
                     }))
-                } else if self.starts_with("<!--") {
-                    let end = self
-                        .find_from(self.pos + 4, b"-->")
-                        .ok_or_else(|| self.err("unterminated comment"))?;
-                    self.pos = end + 3;
-                    self.document_event()
                 } else if self.starts_with("<![CDATA[") {
                     if self.stack.is_empty() {
                         return Err(self.err("character data outside the root element"));
@@ -311,12 +325,6 @@ impl<'a> ScalarParser<'a> {
                     let text = &self.text[start..end];
                     self.pos = end + 3;
                     Ok(Some(PullEvent::Text(Cow::Borrowed(text))))
-                } else if self.starts_with("<?") {
-                    let end = self
-                        .find_from(self.pos + 2, b"?>")
-                        .ok_or_else(|| self.err("unterminated processing instruction"))?;
-                    self.pos = end + 2;
-                    self.document_event()
                 } else {
                     // Start tag.
                     if self.stack.is_empty() {
@@ -329,7 +337,7 @@ impl<'a> ScalarParser<'a> {
                     self.pos += 1;
                     let name = self.name()?;
                     let id = self.names.intern(name);
-                    // Validate-and-count pass mirroring the tape-fed lexer:
+                    // Validate-and-count pass mirroring the production lexer:
                     // attributes are checked in place and handed out as a
                     // lazy `Attrs` view over the validated span.
                     let attr_start = self.pos;
@@ -417,8 +425,8 @@ impl<'a> ScalarParser<'a> {
     }
 
     /// Skips the content and end tag of the innermost open element by
-    /// scanning raw bytes — a quote/comment/CDATA-aware rescan, in contrast
-    /// to the production parser's O(1) tape hop. Always reports `hops: 0`.
+    /// scanning raw bytes — a quote/comment/CDATA-aware per-byte rescan.
+    /// Always reports `hops: 0`.
     ///
     /// # Errors
     /// Returns `Err` if the input ends before the subtree closes, if an

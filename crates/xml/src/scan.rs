@@ -56,9 +56,8 @@ fn nonzero_lanes_exact(x: u64) -> u64 {
 /// Whether every byte of `hay[from..to]` is XML whitespace (space, tab,
 /// CR, LF). Empty and out-of-range spans are vacuously all-whitespace.
 ///
-/// This is the tape builder's text-span classification: one pass at build
-/// time lets the validator skip whitespace-only text events without ever
-/// re-scanning the span.
+/// This is the tape builder's text-span classification (the `ALL_WS` flag
+/// on a text entry).
 #[inline]
 pub fn all_ws(hay: &[u8], from: usize, to: usize) -> bool {
     let to = to.min(hay.len());

@@ -1,29 +1,34 @@
-//! Fuzz smoke: malformed and truncated inputs through the tape builder.
+//! Fuzz smoke: malformed and truncated inputs through the on-demand
+//! lexer and its subtree skip.
 //!
-//! The structural indexer runs *before* well-formedness is known, so it
-//! must classify arbitrary garbage without panicking and hand the
-//! tape-fed parser enough structure to reproduce the scalar lexer's
-//! behavior **exactly** — same events, then the same error at the same
-//! position. Three mutation families drive that:
+//! The pull parser lexes each event where its cursor stands, before
+//! well-formedness is known, so it must take arbitrary garbage without
+//! panicking and reproduce the scalar lexer's behavior **exactly** — same
+//! events, then the same error at the same position. Its subtree skip
+//! must land exactly where the structural index pairs the skipped
+//! element, or fail with the error that pairing implies. Three mutation
+//! families drive both checks:
 //!
 //! * every prefix truncation of a well-formed document (unterminated
 //!   tags, comments, CDATA, PIs, DOCTYPE, attribute values — each
 //!   truncation point lands inside a different construct);
 //! * random single-byte substitutions from the structural byte set
-//!   (`< > & " ' ] - / ! ? =` and NUL), the bytes the SWAR classifier
-//!   keys on;
+//!   (`< > & " ' ] - / ! ? =` and NUL), the bytes the markup
+//!   classification keys on;
 //! * random splices of structural fragments into random positions.
 //!
-//! Every mutated input is pushed through both parsers to completion; the
-//! test fails on any panic (it propagates) and on any divergence in the
-//! event/error stream. UB is out of scope by construction — the crate is
+//! Every mutated input is pushed through both parsers to completion, and
+//! a fork of the pull parser skips at every start tag; the test fails on
+//! any panic (it propagates) and on any divergence in the event/error
+//! stream or in a skip. UB is out of scope by construction — the crate is
 //! `deny(unsafe_code)`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use schemacast_xml::pull::{PullEvent, PullParser};
-use schemacast_xml::{ScalarParser, XmlError};
+use schemacast_xml::index::{flags, EntryKind};
+use schemacast_xml::pull::{PullEvent, PullParser, SubtreeSkip};
+use schemacast_xml::{ScalarParser, StructuralIndex, XmlError};
 
 /// Seed documents covering every construct a truncation can bisect.
 const SEEDS: &[&str] = &[
@@ -42,6 +47,53 @@ fn assert_parity(input: &str) {
     assert_eq!(tape, scalar, "streams diverge on {input:?}");
 }
 
+/// At every `Start` event, a forked parser's `skip_subtree()` must give
+/// what the structural index's pairing of that element implies, checked
+/// in this order: a paired element resumes past its paired end tag with
+/// the paired event count; otherwise the skip fails with the index's
+/// recorded scan error; otherwise with end of input at the input's end.
+fn assert_skips_match_the_index(input: &str) {
+    let index = StructuralIndex::build(input);
+    let entries = index.entries();
+    let mut parser = PullParser::new(input);
+    while let Some(Ok(event)) = parser.next() {
+        if !matches!(event, PullEvent::Start { .. }) {
+            continue;
+        }
+        let lt = parser.last_event_offset();
+        let open = entries
+            .binary_search_by_key(&lt, |e| e.a as usize)
+            .map(|i| entries[i])
+            .unwrap_or_else(|_| panic!("no tape entry for the start tag at {lt} in {input:?}"));
+        assert_eq!(open.kind, EntryKind::Open, "start tag at {lt} in {input:?}");
+        let mut fork = parser.clone();
+        let before = fork.offset();
+        let got = fork
+            .skip_subtree()
+            .map(|skip| (skip, fork.offset()))
+            .map_err(|e| (e.offset, e.message));
+        let want = if open.flags & flags::SELF_CLOSING != 0 {
+            Ok((SubtreeSkip::default(), before))
+        } else if open.c != u32::MAX {
+            let resume = entries[open.c as usize - 1].b as usize + 1;
+            let skip = SubtreeSkip {
+                bytes: resume - before,
+                events: open.d as usize,
+                hops: 1,
+            };
+            Ok((skip, resume))
+        } else if let Some(e) = index.error() {
+            Err((e.offset, e.message.to_owned()))
+        } else {
+            Err((
+                input.len(),
+                "unexpected end of input inside element".to_owned(),
+            ))
+        };
+        assert_eq!(got, want, "skip of the element at {lt} in {input:?}");
+    }
+}
+
 /// Every prefix of every seed, cut at char boundaries.
 #[test]
 fn truncations_never_panic_and_match_the_scalar_lexer() {
@@ -52,6 +104,7 @@ fn truncations_never_panic_and_match_the_scalar_lexer() {
                 continue;
             }
             assert_parity(&seed[..end]);
+            assert_skips_match_the_index(&seed[..end]);
             checked += 1;
         }
     }
@@ -131,6 +184,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(rng_seed);
         let mutant = mutate(SEEDS[seed_ix], &mut rng);
         assert_parity(&mutant);
+        assert_skips_match_the_index(&mutant);
     }
 }
 

@@ -1,14 +1,15 @@
-//! Differential properties: the tape-fed pull parser ≡ the scalar lexer.
+//! Differential properties: the on-demand pull parser ≡ the scalar lexer.
 //!
-//! [`PullParser`] runs off the stage-1 structural index;
-//! [`ScalarParser`] is the preserved per-byte reference implementation.
-//! These tests demand the two produce **identical** event streams —
-//! payloads, interner ids, text-run splits, and (when the document is
-//! malformed) the terminal error with its exact position and message — on
-//! a randomized corpus whose payloads are chosen to derail a structural
-//! classifier: CDATA sections containing `</…>`, comments containing
-//! quotes and fake close tags, processing instructions, entity and
-//! character references, self-closing tags, and a `DOCTYPE` prolog.
+//! [`PullParser`] lexes each event from one byte cursor with SWAR scans
+//! and the structural index's markup classification; [`ScalarParser`] is
+//! the preserved per-byte reference implementation. These tests demand
+//! the two produce **identical** event streams — payloads, interner ids,
+//! text-run splits, and (when the document is malformed) the terminal
+//! error with its exact position and message — on a randomized corpus
+//! whose payloads are chosen to derail a structural classifier: CDATA
+//! sections containing `</…>`, comments containing quotes and fake close
+//! tags, processing instructions, entity and character references,
+//! self-closing tags, and a `DOCTYPE` prolog.
 //!
 //! An anti-vacuity floor (like `tests/lexical_skip_props.rs` at the
 //! workspace root) proves the corpus actually exercises every adversarial

@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use schemacast_xml::pull::{PullEvent, PullParser};
+use schemacast_xml::pull::{PullEvent, PullParser, SubtreeSkip};
 use std::borrow::Cow;
 
 /// Whether `needle`'s bytes lie inside `haystack`'s buffer.
@@ -316,5 +316,124 @@ proptest! {
         let via_dom = schemacast_xml::parse_document(&input);
         let via_pull: Result<Vec<_>, _> = PullParser::new(&input).collect();
         assert_eq!(via_dom.is_ok(), via_pull.is_ok());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 3. The skip contract on input that is malformed inside the skipped element.
+// ---------------------------------------------------------------------------
+
+/// What one `skip_subtree` call returned: the skip and the offset it
+/// resumed at, or the error's offset and message.
+type SkipResult = Result<(SubtreeSkip, usize), (usize, String)>;
+
+/// Parses `input` up to the first start tag named `s` and skips it.
+fn skip_first_s(input: &str) -> SkipResult {
+    let mut parser = PullParser::new(input);
+    loop {
+        match parser.next() {
+            Some(Ok(PullEvent::Start { name: "s", .. })) => break,
+            Some(Ok(_)) => {}
+            other => panic!("no <s> start tag in {input:?}: {other:?}"),
+        }
+    }
+    parser
+        .skip_subtree()
+        .map(|skip| (skip, parser.offset()))
+        .map_err(|e| (e.offset, e.message))
+}
+
+fn skipped(bytes: usize, events: usize, resume: usize) -> SkipResult {
+    Ok((
+        SubtreeSkip {
+            bytes,
+            events,
+            hops: 1,
+        },
+        resume,
+    ))
+}
+
+fn skip_error(offset: usize, message: &str) -> SkipResult {
+    Err((offset, message.to_owned()))
+}
+
+/// `skip_subtree` does not check well-formedness inside the skipped
+/// element, so on malformed input its exact answer is a contract of its
+/// own: the resume point and counts the structural rules imply, the
+/// unterminated-construct error where one opens inside the element, and
+/// otherwise "unexpected end of input inside element" at the end of input.
+#[test]
+fn skip_contract_on_input_malformed_inside_the_skipped_element() {
+    const EOF: &str = "unexpected end of input inside element";
+    let cases: &[(&str, &str, SkipResult)] = &[
+        (
+            "unterminated comment",
+            "<r><s><!-- x</s></r>",
+            skip_error(6, "unterminated comment"),
+        ),
+        (
+            "unterminated CDATA section",
+            "<r><s><![CDATA[ x</s></r>",
+            skip_error(6, "unterminated CDATA section"),
+        ),
+        (
+            "unterminated processing instruction",
+            "<r><s><?pi x</s></r>",
+            skip_error(6, "unterminated processing instruction"),
+        ),
+        (
+            "unterminated attribute quote",
+            "<r><s><t a=\"x></t></s></r>",
+            skip_error(26, EOF),
+        ),
+        (
+            "start tag with no '>'",
+            "<r><s><t a='1'",
+            skip_error(14, EOF),
+        ),
+        (
+            "'</a' at the end of input",
+            "<r><s><a></a",
+            skip_error(12, EOF),
+        ),
+        // The end tag runs to its first '>', the one closing `<b>`.
+        ("'</a<b>'", "<r><s><a></a<b></s></r>", skipped(13, 3, 19)),
+        (
+            "'>' and '/>' inside quoted attribute values",
+            "<r><s><t a=\"/>\" b='>'>x</t></s><u/></r>",
+            skipped(25, 3, 31),
+        ),
+        // Outside the prolog `<!DOCTYPE` is a start tag, so `</r>` pairs
+        // with `<s>`.
+        (
+            "'<!DOCTYPE x>' inside the root",
+            "<r><s><!DOCTYPE x></s></r>",
+            skipped(20, 3, 26),
+        ),
+        (
+            "nested elements with the skipped element's own name",
+            "<r><s><s>a</s><s/></s><t/></r>",
+            skipped(16, 5, 22),
+        ),
+        (
+            "end of input inside the subtree",
+            "<r><s><t>text",
+            skip_error(13, EOF),
+        ),
+        ("'<' at the end of input", "<r><s><", skip_error(7, EOF)),
+        (
+            "an unterminated comment after the element closes",
+            "<r><s><t/></s><!-- x",
+            skipped(8, 3, 14),
+        ),
+        (
+            "an unterminated comment after an end tag with no '>'",
+            "<r><s></t <!-- x",
+            skip_error(16, EOF),
+        ),
+    ];
+    for (what, input, want) in cases {
+        assert_eq!(&skip_first_s(input), want, "{what}: {input:?}");
     }
 }

@@ -17,7 +17,8 @@
 //! `validate`, `cast` and `batch` are one command over the bounded-memory
 //! corpus pipeline, and take the same flags. Paths stream through a
 //! bounded queue to the workers, documents are memory-mapped and
-//! validated off the tape without ever building a tree, and per-file read
+//! validated as the lexer reads them, without ever building a tree or a
+//! structural tape, and per-file read
 //! or parse failures become per-item verdicts (`READ FAILED` /
 //! `MALFORMED`, exit 2) instead of aborting the run.
 //! `cast` and `batch` cast each document from `--source` to `--target`.
@@ -472,14 +473,6 @@ fn main() -> ExitCode {
                     "  bytes skipped lexically: {}   tag events avoided: {}",
                     report.totals.bytes_skipped, report.totals.events_avoided
                 );
-                if report.totals.tape_events > 0 {
-                    println!(
-                        "  tape events: {}   tape skip hops: {}   index build: {} us",
-                        report.totals.tape_events,
-                        report.totals.tape_skip_hops,
-                        report.totals.index_build_micros
-                    );
-                }
                 println!(
                     "  cache hits: {}   cache misses: {}",
                     report.cache_hits, report.cache_misses

@@ -1,7 +1,9 @@
 //! Coverage for two schema shapes outside the paper's experiments:
 //!
 //! * **Recursive types** (document outlines: `section(title, section*)`) —
-//!   the fixpoints must converge and deep documents must validate.
+//!   the fixpoints must converge and deep documents must validate. Deep
+//!   documents, and long runs of comments or PIs, must never consume one
+//!   call-stack frame per level or per construct.
 //! * **1-ambiguous content models** — XML forbids them, but the abstract
 //!   formalism doesn't; the paper notes the techniques still apply (only
 //!   the optimality claim needs determinism). We determinize via subset
@@ -9,11 +11,13 @@
 
 use schemacast::core::{
     explain, CastContext, DtdCastValidator, FailureKind, FullValidator, LabelIndex, ModsValidator,
+    StreamingCast,
 };
 use schemacast::engine::{BatchEngine, ItemOutcome};
 use schemacast::regex::Alphabet;
 use schemacast::schema::{AbstractSchema, SchemaBuilder, SimpleType};
 use schemacast::tree::{DeltaDoc, Doc, Edit, NodeId};
+use schemacast::xml::{PullParser, ScalarParser};
 
 fn outline_schema(ab: &mut Alphabet, max_depth_note: bool) -> AbstractSchema {
     let mut b = SchemaBuilder::new(ab);
@@ -159,6 +163,75 @@ fn every_tree_entry_point_answers_at_depth_100_000() {
     assert_eq!(dd.committed().node_count(), dd.doc().node_count());
     let report = BatchEngine::with_workers(&ctx_rev, 1).validate_edited(&[(doc, edits)]);
     assert!(matches!(report.items[0].outcome, ItemOutcome::Valid));
+}
+
+#[test]
+fn subtree_size_answers_at_depth_100_000() {
+    let mut ab = Alphabet::new();
+    let doc = deep_outline(&mut ab, 100_000, 0);
+    assert_eq!(doc.subtree_size(doc.root()), doc.node_count());
+    // The deepest section holds its title and the title's text.
+    assert_eq!(doc.subtree_size(deepest_section(&doc)), 3);
+}
+
+#[test]
+fn a_delta_doc_clone_at_depth_100_000_validates_like_the_original() {
+    let mut ab = Alphabet::new();
+    let v1 = outline_schema(&mut ab, false);
+    let v2 = outline_schema(&mut ab, true);
+    let doc = deep_outline(&mut ab, 100_000, 0);
+    let deepest = deepest_section(&doc);
+    let title_text = doc.children(doc.children(deepest)[0])[0];
+    let mut dd = DeltaDoc::new(doc);
+    dd.apply_all(&[Edit::SetText {
+        node: title_text,
+        text: "renamed".into(),
+    }])
+    .expect("the edit applies");
+    let copy = dd.clone();
+    let path = copy.doc().dewey(title_text);
+    assert!(copy.trie().subtree_modified(&path));
+    let ctx = CastContext::new(&v2, &v1, &ab);
+    let validator = ModsValidator::new(&ctx);
+    assert!(validator.validate(&dd).is_valid());
+    assert!(validator.validate(&copy).is_valid());
+}
+
+/// Wraps a run of `n` copies of `markup` once in validated content and once
+/// inside a skipped subtree: a cast from the outline schema with notes to
+/// the one without checks the root's content but skips every `title`,
+/// whose (text, text) pair is subsumed.
+fn markup_runs(markup: &str, n: usize) -> [String; 2] {
+    let run = markup.repeat(n);
+    [
+        format!("<doc><title>t</title>{run}<section><title>s</title></section></doc>"),
+        format!("<doc><title>t{run}</title></doc>"),
+    ]
+}
+
+#[test]
+fn a_million_consecutive_comments_or_pis_cost_no_stack() {
+    let mut ab = Alphabet::new();
+    let v1 = outline_schema(&mut ab, false);
+    let v2 = outline_schema(&mut ab, true);
+    let ctx = CastContext::new(&v2, &v1, &ab);
+    let cast = StreamingCast::new(&ctx);
+    for markup in ["<!---->", "<?p?>"] {
+        let [validated, skipped] = markup_runs(markup, 1_000_000);
+        for (doc, in_skipped_subtree) in [(&validated, false), (&skipped, true)] {
+            let (outcome, stats) = cast.validate_str(doc, &ab).expect("well-formed");
+            assert!(outcome.is_valid(), "{markup} run");
+            assert_eq!(
+                stats.bytes_skipped > 1_000_000,
+                in_skipped_subtree,
+                "{markup} run skipped {} bytes",
+                stats.bytes_skipped
+            );
+            let pull: Vec<_> = PullParser::new(doc).collect();
+            let scalar: Vec<_> = ScalarParser::new(doc).collect();
+            assert_eq!(pull, scalar, "{markup} run");
+        }
+    }
 }
 
 #[test]

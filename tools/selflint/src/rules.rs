@@ -14,18 +14,21 @@
 //! | SL0004 | std-sync-ban       | shim-migrated crates use `loomlite::{sync,thread}`, never `std::{sync,thread}` |
 //! | SL0005 | ordering-justify   | every non-SeqCst atomic ordering carries a nearby `// ordering:` comment |
 //! | SL0006 | guard-across-io    | no lock guard held across file I/O |
-//! | SL0007 | walker-recursion   | no function in the tree walkers calls itself |
+//! | SL0007 | walker-recursion   | no function in the tree walkers or the XML lexers calls itself |
+//! | SL0008 | tape-off-validation-path | `core` and `engine` library code never names `StructuralIndex` |
 
 use crate::lexer::SourceFile;
 use std::collections::BTreeMap;
 
 /// File names (anywhere under `crates/*/src`) whose bodies may not name
 /// a hashed collection: SipHash per lookup is exactly the per-event cost
-/// the streaming hot path exists to avoid, and the per-type-pair walks of
-/// the `R_sub`/`R_nondis` fixpoints (`checks.rs`, `relations.rs`) keep
-/// their visited sets and indexes dense for the same reason.
+/// the streaming hot path and its lexer (`pull.rs`) exist to avoid, and
+/// the per-type-pair walks of the `R_sub`/`R_nondis` fixpoints
+/// (`checks.rs`, `relations.rs`) keep their visited sets and indexes dense
+/// for the same reason.
 const HOT_PATH_FILES: &[&str] = &[
     "stream.rs",
+    "pull.rs",
     "hot.rs",
     "index.rs",
     "checks.rs",
@@ -53,8 +56,9 @@ const WEAK_ORDERINGS: &[&str] = &[
 /// justification may sit.
 const ORDERING_COMMENT_WINDOW: usize = 6;
 
-/// The tree walkers and edit structures SL0007 holds to explicit stacks:
-/// a function here that calls itself recurses once per document level.
+/// The tree walkers, edit structures and XML lexers SL0007 holds to
+/// explicit stacks and loops: a function here that calls itself recurses
+/// once per document level, or once per comment in a run of them.
 const WALKER_FILES: &[&str] = &[
     "crates/core/src/cast.rs",
     "crates/core/src/full.rs",
@@ -64,7 +68,14 @@ const WALKER_FILES: &[&str] = &[
     "crates/core/src/stream.rs",
     "crates/tree/src/modtrie.rs",
     "crates/tree/src/edit.rs",
+    "crates/xml/src/pull.rs",
+    "crates/xml/src/scalar.rs",
 ];
+
+/// Where SL0008 forbids naming the structural index: validation lexes on
+/// demand, so a tape built here would be an O(document) pass and buffer
+/// that the validator never reads.
+const TAPE_FREE_CRATES: &[&str] = &["crates/core/", "crates/engine/"];
 
 /// Calls that perform file I/O, for the guard-across-io rule.
 const IO_MARKERS: &[&str] = &[
@@ -164,6 +175,11 @@ pub const RULES: &[Rule] = &[
         id: "SL0007",
         name: "walker-recursion",
         check: walker_recursion,
+    },
+    Rule {
+        id: "SL0008",
+        name: "tape-off-validation-path",
+        check: tape_off_validation_path,
     },
 ];
 
@@ -383,10 +399,21 @@ fn let_bound_ident(code: &str) -> Option<String> {
     rhs.contains(".lock(").then_some(ident)
 }
 
-/// A function whose body is open: its name and the brace depth inside it.
+/// A function whose body is open: its name, whether it takes a `self`
+/// receiver, and the brace depth inside it.
 struct OpenFn {
     name: String,
+    method: bool,
     depth: i64,
+}
+
+/// A signature seen whose body's `{` is not yet: the name, the `(`/`[`
+/// nesting (so that `;` inside `[u8; 4]` does not end it), and whether a
+/// `self` receiver has appeared.
+struct PendingFn {
+    name: String,
+    nest: i64,
+    method: bool,
 }
 
 fn walker_recursion(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
@@ -396,9 +423,7 @@ fn walker_recursion(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
         }
         let mut depth: i64 = 0;
         let mut open: Vec<OpenFn> = Vec::new();
-        // A signature seen and its body's `{` not yet: the name, and the
-        // `(`/`[` nesting so that `;` inside `[u8; 4]` does not end it.
-        let mut pending: Option<(String, i64)> = None;
+        let mut pending: Option<PendingFn> = None;
         for (i, l) in file.lines.iter().enumerate() {
             let code = l.code.as_bytes();
             let mut at = 0;
@@ -407,15 +432,24 @@ fn walker_recursion(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
                 if is_ident_start(b) && (at == 0 || !is_ident_byte(code[at - 1])) {
                     let end = at + code[at..].iter().take_while(|&&c| is_ident_byte(c)).count();
                     let word = &l.code[at..end];
+                    let callee = open.iter().rev().find(|f| f.name == word);
                     if word == "fn" {
                         let name = l.code[end..].trim_start();
                         let len = name.bytes().take_while(|&c| is_ident_byte(c)).count();
                         if len > 0 && is_ident_start(name.as_bytes()[0]) {
-                            pending = Some((name[..len].to_string(), 0));
+                            pending = Some(PendingFn {
+                                name: name[..len].to_string(),
+                                nest: 0,
+                                method: false,
+                            });
+                        }
+                    } else if word == "self" && !l.code[end..].starts_with("::") {
+                        if let Some(p) = &mut pending {
+                            p.method = true;
                         }
                     } else if !l.in_test
-                        && open.iter().any(|f| f.name == word)
-                        && is_self_call(&l.code[..at], &l.code[end..])
+                        && callee
+                            .is_some_and(|f| is_self_call(&l.code[..at], &l.code[end..], f.method))
                     {
                         rule.emit(
                             out,
@@ -434,8 +468,12 @@ fn walker_recursion(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
                 match b {
                     b'{' => {
                         depth += 1;
-                        if let Some((name, _)) = pending.take() {
-                            open.push(OpenFn { name, depth });
+                        if let Some(p) = pending.take() {
+                            open.push(OpenFn {
+                                name: p.name,
+                                method: p.method,
+                                depth,
+                            });
                         }
                     }
                     b'}' => {
@@ -443,16 +481,16 @@ fn walker_recursion(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
                         open.retain(|f| f.depth <= depth);
                     }
                     b'(' | b'[' => {
-                        if let Some((_, nest)) = &mut pending {
-                            *nest += 1;
+                        if let Some(p) = &mut pending {
+                            p.nest += 1;
                         }
                     }
                     b')' | b']' => {
-                        if let Some((_, nest)) = &mut pending {
-                            *nest -= 1;
+                        if let Some(p) = &mut pending {
+                            p.nest -= 1;
                         }
                     }
-                    b';' if pending.as_ref().is_some_and(|(_, nest)| *nest == 0) => {
+                    b';' if pending.as_ref().is_some_and(|p| p.nest == 0) => {
                         // A declaration without a body.
                         pending = None;
                     }
@@ -473,9 +511,12 @@ fn is_ident_byte(b: u8) -> bool {
 }
 
 /// Whether a name between `before` and `after` on one line is called as a
-/// self-call: a bare `name(`, `self.name(` or `Self::name(`. A call on any
-/// other receiver or path, and the `fn name(` of a signature, are not.
-fn is_self_call(before: &str, after: &str) -> bool {
+/// self-call of the enclosing function of that name: `self.name(`,
+/// `Self::name(`, or a bare `name(` when that function takes no `self`
+/// receiver (Rust never resolves a bare name to a method, so inside a
+/// method a bare `name(` calls a free function). A call on any other
+/// receiver or path, and the `fn name(` of a signature, are not.
+fn is_self_call(before: &str, after: &str, method: bool) -> bool {
     if !after.trim_start().starts_with('(') {
         return false;
     }
@@ -488,11 +529,31 @@ fn is_self_call(before: &str, after: &str) -> bool {
                 .is_some_and(|b| is_ident_byte(b) || b == b'.' || b == b':');
         }
     }
-    let bare = !before.ends_with('.') && !before.ends_with("::");
+    let bare = !method && !before.ends_with('.') && !before.ends_with("::");
     let signature = before
         .strip_suffix("fn")
         .is_some_and(|rest| !rest.bytes().last().is_some_and(is_ident_byte));
     bare && !signature
+}
+
+fn tape_off_validation_path(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
+    for file in ws.files {
+        if !TAPE_FREE_CRATES.iter().any(|p| file.rel.starts_with(p)) {
+            continue;
+        }
+        for (line, code) in file.library_code() {
+            if code.contains("StructuralIndex") {
+                rule.emit(
+                    out,
+                    &file.rel,
+                    line,
+                    "`StructuralIndex` on the validation path — the pull parser lexes on \
+                     demand; a tape here is an O(document) pass and buffer nothing reads"
+                        .into(),
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -718,12 +779,64 @@ mod tests {
         let v = ws_run(&[lex("crates/core/src/mods.rs", false, iterative)]);
         assert!(!ids(&v).contains(&"SL0007"), "{v:?}");
 
+        // Inside a method a bare `name(` calls a free function of the same
+        // name, never the method itself.
+        let delegating = "impl P {\n\
+                 fn err_at(&self, offset: usize) -> E {\n\
+                     err_at(self.bytes, offset)\n\
+                 }\n\
+                 fn name(\n\
+                     &mut self,\n\
+                 ) -> E {\n\
+                     name(self.bytes)\n\
+                 }\n\
+             }\n\
+             fn err_at(bytes: &[u8], offset: usize) -> E { E::new(bytes, offset) }\n";
+        let v = ws_run(&[lex("crates/xml/src/pull.rs", false, delegating)]);
+        assert!(!ids(&v).contains(&"SL0007"), "{v:?}");
+
         // Outside the walker files, and in test code, recursion is allowed.
         let v = ws_run(&[lex("crates/core/src/repair.rs", false, recursive)]);
         assert!(!ids(&v).contains(&"SL0007"));
         let in_test = format!("#[cfg(test)]\nmod tests {{\n{recursive}}}\n");
         let v = ws_run(&[lex("crates/core/src/mods.rs", false, &in_test)]);
         assert!(!ids(&v).contains(&"SL0007"));
+    }
+
+    #[test]
+    fn sl0008_keeps_the_structural_index_out_of_core_and_engine() {
+        for path in ["crates/core/src/stream.rs", "crates/engine/src/corpus.rs"] {
+            let tape = lex(
+                path,
+                false,
+                "use schemacast_xml::StructuralIndex;\n\
+                 fn f(s: &str) { let t = StructuralIndex::build(s); }\n",
+            );
+            let v = ws_run(&[tape]);
+            assert_eq!(
+                ids(&v).iter().filter(|id| **id == "SL0008").count(),
+                2,
+                "the import and the build in {path}"
+            );
+        }
+
+        // The index's own crate, the benchmarks, tests and prose may name it.
+        for path in ["crates/xml/src/pull.rs", "crates/bench/src/lib.rs"] {
+            let elsewhere = lex(path, false, "use crate::StructuralIndex;\n");
+            assert!(!ids(&ws_run(&[elsewhere])).contains(&"SL0008"));
+        }
+        let test_only = lex(
+            "crates/core/src/stream.rs",
+            false,
+            "#[cfg(test)]\nmod tests { use schemacast_xml::StructuralIndex; }\n",
+        );
+        assert!(!ids(&ws_run(&[test_only])).contains(&"SL0008"));
+        let doc = lex(
+            "crates/core/src/stream.rs",
+            false,
+            "//! No [`StructuralIndex`] is built here.\n",
+        );
+        assert!(!ids(&ws_run(&[doc])).contains(&"SL0008"));
     }
 
     #[test]
