@@ -117,8 +117,8 @@ impl Tally {
 
 /// Word-level edit analysis for one `(source, target)` content-model pair.
 ///
-/// Borrows the product IDA (typically the cached `Arc<ProductIda>` the
-/// revalidator already built for this pair) plus the source DFA, and
+/// Borrows the product IDA (typically the one the revalidator already
+/// built for this pair) plus the source DFA, and
 /// precomputes the reachable product pairs and the co-accessible states of
 /// the source, so each per-label query is a single sweep over the reachable
 /// pairs.

@@ -24,11 +24,10 @@
 //! [`explain`]: crate::explain()
 //! [`ModsValidator`]: crate::ModsValidator
 
-use crate::idacache::{ShardedCache, ShardedIdaCache};
+use crate::pairs::{publish, PairTable};
 use crate::relations::TypeRelations;
-use crate::safety::{Exemptions, PairSafety};
+use crate::safety::Exemptions;
 use crate::stats::{CastOutcome, ValidationStats};
-use loomlite::sync::Arc;
 use schemacast_automata::{Dfa, ProductIda, StringCast};
 use schemacast_regex::{Alphabet, Sym};
 use schemacast_schema::{AbstractSchema, ComplexType, TypeDef, TypeId};
@@ -78,22 +77,19 @@ impl CastOptions {
 
 /// A preprocessed schema pair, ready to revalidate many documents.
 ///
-/// A `&CastContext` is `Sync`: the lazily filled per-pair caches are
-/// sharded and never hold a lock while constructing an automaton, so worker
-/// threads validating different documents (the batch engine's shape) do not
-/// serialize behind each other.
+/// A `&CastContext` is `Sync`. Its per-pair artifacts (product IDAs, string
+/// casts, edit-safety analyses) live in one dense table of publish-once
+/// slots, built on first use with no lock held and then borrowed for the
+/// context's lifetime, so worker threads validating different documents
+/// (the batch engine's shape) take no lock and write no shared reference
+/// count per element.
 pub struct CastContext<'a> {
     source: &'a AbstractSchema,
     target: &'a AbstractSchema,
     relations: TypeRelations,
     options: CastOptions,
-    ida_cache: ShardedIdaCache,
-    /// Per type pair: the string-cast machinery (with reverse automata)
-    /// that revalidates edited child lists (§4.3).
-    string_casts: ShardedCache<StringCast>,
-    /// Interned static edit-safety analyses, cached per type pair alongside
-    /// the IDA cache (same sharded publish-once discipline).
-    pub(crate) safety_cache: ShardedCache<PairSafety>,
+    /// The per-pair artifacts, indexed by `s·|T| + t`.
+    pub(crate) pairs: PairTable,
 }
 
 impl<'a> CastContext<'a> {
@@ -119,9 +115,7 @@ impl<'a> CastContext<'a> {
             target,
             relations,
             options,
-            ida_cache: ShardedIdaCache::new(),
-            string_casts: ShardedCache::new(),
-            safety_cache: ShardedCache::new(),
+            pairs: PairTable::new(source.type_count(), target.type_count()),
         }
     }
 
@@ -170,21 +164,23 @@ impl<'a> CastContext<'a> {
         (CastOutcome::from_bool(ok.is_ok()), stats)
     }
 
-    /// The cached product IDA for a (source, target) complex type pair.
+    /// The product IDA of a (source, target) complex type pair, built on
+    /// first use.
     ///
-    /// On a miss the automaton is constructed with no cache lock held;
-    /// racing callers all receive clones of the single published `Arc`.
-    pub fn product_ida(&self, src: TypeId, tgt: TypeId) -> Arc<ProductIda> {
-        self.ida_cache.get_or_insert_with((src, tgt), || {
+    /// On a miss the automaton is constructed with no lock held; racing
+    /// callers all borrow the one published IDA.
+    pub fn product_ida(&self, src: TypeId, tgt: TypeId) -> &ProductIda {
+        publish(&self.pairs.entry(src, tgt).ida, || {
             let (a, b) = self.content_dfas(src, tgt);
             ProductIda::new(a, b)
         })
     }
 
-    /// The cached string cast with reverse automata for a (source, target)
-    /// complex type pair: revalidates a child list after edits (§4.3).
-    pub(crate) fn string_cast(&self, src: TypeId, tgt: TypeId) -> Arc<StringCast> {
-        self.string_casts.get_or_insert_with((src, tgt), || {
+    /// The string cast with reverse automata of a (source, target) complex
+    /// type pair, built on first use: revalidates a child list after edits
+    /// (§4.3).
+    pub(crate) fn string_cast(&self, src: TypeId, tgt: TypeId) -> &StringCast {
+        publish(&self.pairs.entry(src, tgt).string_cast, || {
             let (a, b) = self.content_dfas(src, tgt);
             StringCast::new(a.clone(), b.clone()).with_reverse()
         })
@@ -199,9 +195,9 @@ impl<'a> CastContext<'a> {
         (&a.dfa, &b.dfa)
     }
 
-    /// Number of product IDAs currently cached.
+    /// Number of product IDAs built so far.
     pub fn cached_ida_count(&self) -> usize {
-        self.ida_cache.len()
+        self.pairs.ida_count()
     }
 
     /// The (source, target) type pairs whose content models the validator

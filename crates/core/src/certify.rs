@@ -537,12 +537,11 @@ fn emit_idas_and_paths(em: &mut Emitter<'_>, ctx: &CastContext<'_>) {
         ) else {
             continue;
         };
-        let ida = ctx.product_ida(s, t);
         let (a_ref, b_ref) = (em.src_dfa[&s], em.tgt_dfa[&t]);
         match ida_cert(
             &cs.dfa,
             &ct.dfa,
-            &ida,
+            ctx.product_ida(s, t),
             s.index() as u32,
             t.index() as u32,
             a_ref,

@@ -18,8 +18,8 @@
 //!
 //! One-pass validation of a document against the whole chain is the
 //! endpoint context's validation — no per-hop revalidation — and the
-//! chain-level [`SafetyMatrix`] is the endpoint's, interned through its
-//! sharded caches.
+//! chain-level [`SafetyMatrix`] is the endpoint's, built in its pair
+//! table.
 //!
 //! [`SchemaChain::verify_script`] checks a whole migration script (one edit
 //! batch per hop) against the chain: each hop takes the static fast path

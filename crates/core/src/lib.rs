@@ -43,8 +43,8 @@ pub mod dtdcast;
 pub mod explain;
 pub mod fingerprint;
 pub mod full;
-mod idacache;
 pub mod mods;
+mod pairs;
 pub mod relations;
 pub mod repair;
 pub mod safety;

@@ -15,8 +15,8 @@ use schemacast_schema::{TypeDef, TypeId};
 use schemacast_tree::{DeltaDoc, DeltaState, NodeId, ProjLabel};
 
 /// Validator for edited documents over a preprocessed [`CastContext`],
-/// whose per-pair caches also hold the string-cast machinery (§4.3) this
-/// validator uses on edited child lists.
+/// whose pair table also holds the string-cast machinery (§4.3) this
+/// validator borrows for edited child lists.
 pub struct ModsValidator<'a, 'b> {
     ctx: &'a CastContext<'b>,
 }

@@ -30,11 +30,12 @@
 //! data-dependent; `Inapplicable` shapes let the runtime surface the edit
 //! error).
 //!
-//! Analyses are interned per type pair in a sharded publish-once cache (the
-//! same discipline as the product-IDA cache), so batch workers share them
-//! contention-free.
+//! Analyses are built once per type pair into the context's pair table,
+//! beside the product IDAs and with the same publish-once discipline, so
+//! batch workers borrow them without a lock.
 
 use crate::cast::{CastContext, Walk};
+use crate::pairs::publish;
 use crate::stats::{CastOutcome, ValidationStats};
 use loomlite::sync::Arc;
 use schemacast_automata::safety::EditWordAnalysis;
@@ -223,21 +224,28 @@ impl<'a> CastContext<'a> {
         out
     }
 
-    /// The interned edit-safety analysis for a complex type pair, or `None`
-    /// if either side is simple (simple content has no child word to edit).
+    /// The edit-safety analysis of a complex type pair, built on first use,
+    /// or `None` if either side is simple (simple content has no child word
+    /// to edit).
     ///
-    /// Cached per pair with the same sharded publish-once discipline as the
-    /// product IDAs; racing batch workers converge on one `Arc`.
-    pub fn pair_safety(&self, s: TypeId, t: TypeId) -> Option<Arc<PairSafety>> {
+    /// Kept in the context's pair table beside the product IDAs, with the
+    /// same publish-once discipline; racing batch workers borrow one
+    /// analysis.
+    pub fn pair_safety(&self, s: TypeId, t: TypeId) -> Option<&PairSafety> {
+        self.shared_pair_safety(s, t).map(|safety| &**safety)
+    }
+
+    /// [`CastContext::pair_safety`] as the table holds it, for the matrix
+    /// rows that own a share.
+    fn shared_pair_safety(&self, s: TypeId, t: TypeId) -> Option<&Arc<PairSafety>> {
         if self.source().type_def(s).as_complex().is_none()
             || self.target().type_def(t).as_complex().is_none()
         {
             return None;
         }
-        Some(
-            self.safety_cache
-                .get_or_insert_with((s, t), || self.build_pair_safety(s, t)),
-        )
+        Some(publish(&self.pairs.entry(s, t).safety, || {
+            Arc::new(self.build_pair_safety(s, t))
+        }))
     }
 
     /// The full safety matrix over [`CastContext::analyzable_pairs`].
@@ -246,10 +254,10 @@ impl<'a> CastContext<'a> {
             .analyzable_pairs()
             .into_iter()
             .filter_map(|(s, t)| {
-                self.pair_safety(s, t).map(|safety| MatrixEntry {
+                self.shared_pair_safety(s, t).map(|safety| MatrixEntry {
                     source: s,
                     target: t,
-                    safety,
+                    safety: Arc::clone(safety),
                 })
             })
             .collect();
@@ -267,8 +275,7 @@ impl<'a> CastContext<'a> {
             .type_def(t)
             .as_complex()
             .expect("pair_safety requires complex target");
-        let ida = self.product_ida(s, t);
-        let analysis = EditWordAnalysis::new(&cs.dfa, &ct.dfa, &ida);
+        let analysis = EditWordAnalysis::new(&cs.dfa, &ct.dfa, self.product_ida(s, t));
 
         // Sibling stability: every label occurring in a source word must
         // map to an R_sub-related child type pair (missing target typing is
@@ -742,7 +749,7 @@ mod tests {
         let t = target.type_by_name("Feed").unwrap();
         let a = ctx.pair_safety(s, t).unwrap();
         let b = ctx.pair_safety(s, t).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a, b));
         // Simple pairs are not analyzable.
         let text_s = source.type_by_name("Text").unwrap();
         let text_t = target.type_by_name("Text").unwrap();

@@ -352,8 +352,7 @@ impl<'a> CastContext<'a> {
                 continue;
             }
 
-            let ida = self.product_ida(s, t);
-            let outcome = net.decide(&cs.dfa, &ct.dfa, &ida);
+            let outcome = net.decide(&cs.dfa, &ct.dfa, self.product_ida(s, t));
 
             // Per-net-position child facts, consulted whether or not the
             // word was accepted: a disjoint kept child rejects on its own,

@@ -35,7 +35,6 @@
 
 use crate::cast::CastContext;
 use crate::stats::{CastOutcome, ValidationStats};
-use loomlite::sync::Arc;
 use schemacast_automata::hot::state_flags;
 use schemacast_automata::{HotDfa, ProductIda, StateId};
 use schemacast_regex::{Alphabet, Sym, SymCache};
@@ -50,60 +49,16 @@ pub struct StreamingCast<'a, 'b> {
 
 /// Reusable per-worker scratch state for the streaming fast path.
 ///
-/// Holds the lifetime-free [`SymCache`] and the per-document product-IDA
-/// memo, so batch workers resolve labels and fetch pair automata with zero
-/// steady-state allocation across documents. Both are sized by the
-/// schemas, never by a document. Create one per worker (or per call site)
-/// and pass it to [`StreamingCast::validate_str_with`] /
-/// [`StreamingCast::validate_pull`].
+/// Holds the lifetime-free [`SymCache`], so batch workers resolve labels
+/// with zero steady-state allocation across documents; it is sized by the
+/// alphabet, never by a document. Product IDAs are not kept here: the
+/// context's pair table lends them to every worker for the context's
+/// lifetime, so a scratch can move freely between contexts. Create one per
+/// worker (or per call site) and pass it to
+/// [`StreamingCast::validate_str_with`] / [`StreamingCast::validate_pull`].
 #[derive(Debug, Default)]
 pub struct StreamScratch {
     syms: SymCache,
-    pairs: PairMemo,
-}
-
-/// Per-document memo of product IDAs by type pair. The context's sharded
-/// cache already dedups construction globally; this layer removes the
-/// mutex + hash lookup from the per-element path for pairs the current
-/// document has already used. [`TypeId`]s are small dense indices, so the
-/// memo is a `#source_types × #target_types` matrix — one indexed load
-/// per element, no hashing at all. Re-dimensioned at the start of every
-/// document, and emptied by clearing only the slots the previous document
-/// filled, so a scratch can safely move between contexts (type ids are
-/// per-schema) at a cost that does not grow with the schemas.
-#[derive(Debug, Default)]
-struct PairMemo {
-    slots: Vec<Option<Arc<ProductIda>>>,
-    /// Indices of the filled slots.
-    filled: Vec<usize>,
-    tgt_width: usize,
-}
-
-impl PairMemo {
-    /// Empties the memo and re-dimensions it for a schema pair.
-    fn begin(&mut self, src_types: usize, tgt_types: usize) {
-        for i in self.filled.drain(..) {
-            self.slots[i] = None;
-        }
-        self.slots.resize(src_types * tgt_types, None);
-        self.tgt_width = tgt_types;
-    }
-
-    /// The memoized product IDA for `(s, t)`, building it on first use.
-    #[inline]
-    fn get_or_insert(
-        &mut self,
-        s: TypeId,
-        t: TypeId,
-        build: impl FnOnce() -> Arc<ProductIda>,
-    ) -> &Arc<ProductIda> {
-        let i = s.index() * self.tgt_width + t.index();
-        let slot = &mut self.slots[i];
-        if slot.is_none() {
-            self.filled.push(i);
-        }
-        slot.get_or_insert_with(build)
-    }
 }
 
 /// One open element's validation state. Borrows simple-typed character data
@@ -128,9 +83,10 @@ enum Frame<'a, 't> {
 }
 
 enum Content<'a> {
-    /// Product IDA over (source, target) content models (§4 integration).
+    /// Product IDA over (source, target) content models (§4 integration),
+    /// borrowed from the context's pair table.
     Ida {
-        ida: Arc<ProductIda>,
+        ida: &'a ProductIda,
         q: StateId,
         /// Early decision, if the IDA reached IA (`Some(true)`).
         /// Immediate rejects abort the whole scan instead.
@@ -209,12 +165,8 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         alphabet: &Alphabet,
         scratch: &mut StreamScratch,
     ) -> Result<(CastOutcome, ValidationStats), XmlError> {
-        let StreamScratch { syms, pairs } = scratch;
+        let syms = &mut scratch.syms;
         syms.begin();
-        pairs.begin(
-            self.ctx.source().type_count(),
-            self.ctx.target().type_count(),
-        );
         let mut stats = ValidationStats::default();
         let mut stack: Vec<Frame<'a, 't>> = Vec::new();
         let mut seen_root = false;
@@ -224,7 +176,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                 PullEvent::Doctype { .. } => {}
                 PullEvent::Start { name, id, .. } => {
                     let sym = syms.resolve(alphabet, id.index(), name);
-                    match self.on_start(sym, &mut stack, &mut seen_root, pairs, &mut stats) {
+                    match self.on_start(sym, &mut stack, &mut seen_root, &mut stats) {
                         StartAction::Entered => {}
                         StartAction::Skip => {
                             let skipped = parser.skip_subtree()?;
@@ -274,11 +226,6 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         let mut stack: Vec<Frame<'a, 't>> = Vec::new();
         let mut skip_depth: usize = 0;
         let mut seen_root = false;
-        let mut pairs = PairMemo::default();
-        pairs.begin(
-            self.ctx.source().type_count(),
-            self.ctx.target().type_count(),
-        );
 
         for event in events {
             match event? {
@@ -289,7 +236,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                         continue;
                     }
                     let sym = alphabet.lookup(name);
-                    match self.on_start(sym, &mut stack, &mut seen_root, &mut pairs, &mut stats) {
+                    match self.on_start(sym, &mut stack, &mut seen_root, &mut stats) {
                         StartAction::Entered => {}
                         StartAction::Skip => skip_depth = 1,
                         StartAction::Invalid => return Ok((CastOutcome::Invalid, stats)),
@@ -333,7 +280,6 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         sym: Option<Sym>,
         stack: &mut Vec<Frame<'a, 't>>,
         seen_root: &mut bool,
-        pairs: &mut PairMemo,
         stats: &mut ValidationStats,
     ) -> StartAction {
         let Some(sym) = sym else {
@@ -350,7 +296,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                 return StartAction::Invalid;
             };
             let src = self.ctx.source().root_type(sym);
-            match self.enter(src, tgt, pairs, stats) {
+            match self.enter(src, tgt, stats) {
                 Entered::Frame(f) => {
                     stack.push(f);
                     StartAction::Entered
@@ -405,7 +351,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                         return StartAction::Invalid;
                     };
                     let child_src = src_cx.and_then(|c| c.child_type_dense(sym));
-                    match self.enter(child_src, child_tgt, pairs, stats) {
+                    match self.enter(child_src, child_tgt, stats) {
                         Entered::Frame(f) => {
                             stack.push(f);
                             StartAction::Entered
@@ -450,7 +396,6 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         &self,
         src: Option<TypeId>,
         tgt: TypeId,
-        pairs: &mut PairMemo,
         stats: &mut ValidationStats,
     ) -> Entered<'a, 't> {
         stats.nodes_visited += 1;
@@ -473,9 +418,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                 let src_cx = src.and_then(|s| self.ctx.source().type_def(s).as_complex());
                 let content = match (opts.use_ida, src, src_cx) {
                     (true, Some(s), Some(_)) => {
-                        let ida = pairs
-                            .get_or_insert(s, tgt, || self.ctx.product_ida(s, tgt))
-                            .clone();
+                        let ida = self.ctx.product_ida(s, tgt);
                         let hot = ida.ida().hot();
                         let q = hot.start();
                         // The start state may already be decisive.
@@ -748,7 +691,8 @@ mod tests {
     #[test]
     fn scratch_moves_between_contexts_with_equal_type_counts() {
         // Same type ids on both sides, different target content models: a
-        // memo slot left over from one context would answer for the other.
+        // product IDA kept per scratch rather than per context would answer
+        // for the other.
         let mut ab = Alphabet::new();
         let mk = |ab: &mut Alphabet, model: &str| {
             let mut b = SchemaBuilder::new(ab);

@@ -32,9 +32,11 @@
 //!   the scheduling; batch totals are folded in input order. Identical
 //!   batches give identical [`BatchReport::deterministic_view`]s at any
 //!   worker count (asserted by tests).
-//! * **Contention-free warm-up** — [`BatchEngine::warm_up`] precomputes the
-//!   reachable product IDAs in parallel at preprocessing time, leaning on
-//!   the sharded, build-outside-the-lock IDA cache in `schemacast-core`.
+//! * **Contention-free validation** — [`BatchEngine::warm_up`] precomputes
+//!   the reachable product IDAs in parallel at preprocessing time into the
+//!   context's pair table, whose publish-once slots are built with no lock
+//!   held. Workers then borrow every per-pair artifact from that table:
+//!   no element costs a lock, a hash or a shared reference-count write.
 
 pub mod cache;
 mod chain;
@@ -109,7 +111,7 @@ impl<'c, 's> BatchEngine<'c, 's> {
     /// [`CertificationRun::all_certified`]) runs with proof-carrying
     /// preprocessing: no `static_skips` / `static_rejects` decision rests
     /// on an unchecked fixpoint. Certification is warm-up-shaped work
-    /// (per-pair, read-only), so it shares the context's IDA cache with
+    /// (per-pair, read-only), so it shares the context's pair table with
     /// [`BatchEngine::warm_up`].
     pub fn certify(&self) -> CertificationRun {
         certify_context(self.ctx)

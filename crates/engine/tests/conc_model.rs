@@ -10,8 +10,9 @@
 //! The four tentpole invariant suites and where they live:
 //!
 //! * publish-once wins exactly once — `schemacast-core`,
-//!   `idacache::tests::model_publish_once_under_every_interleaving`
-//!   (the cache type is crate-private there);
+//!   `pairs::tests::model_publish_once_under_every_interleaving`, two
+//!   racing lookups of one pair in a real `CastContext`'s pair table
+//!   (the table is crate-private there);
 //! * `collect_indexed` loses no item and preserves order —
 //!   `pool::tests::model_collect_indexed_loses_nothing_in_any_schedule`
 //!   (same reason);

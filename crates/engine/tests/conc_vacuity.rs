@@ -2,8 +2,8 @@
 //! bugs in these structures, not just that the real code passes.
 //!
 //! Each test seeds a known bug into a mutated copy of a real workspace
-//! structure — the sharded publish-once cache, the pool's claim counter,
-//! the pipeline's ready-gate — and asserts that loomlite (a) detects it,
+//! structure — the pair table's publish-once slot, the pool's claim
+//! counter, the pipeline's ready-gate — and asserts that loomlite (a) detects it,
 //! (b) prints a schedule seed, and (c) deterministically reproduces the
 //! same failure when that seed is replayed. If a refactor ever blinds
 //! the checker (a shim op that stops yielding, a scheduler that stops
@@ -17,7 +17,6 @@
 use loomlite::sync::atomic::{AtomicUsize, Ordering};
 use loomlite::sync::{Arc, Condvar, Mutex};
 use loomlite::thread;
-use std::collections::HashMap;
 
 /// Runs `f` under the model checker expecting a failure containing
 /// `needle`, extracts the printed schedule seed, and replays it —
@@ -54,45 +53,59 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// `idacache::ShardedCache` with the publish-once `entry().or_insert`
-/// replaced by a check-then-act `insert` — the exact bug the real
-/// structure's design rules out. Two racing builders can now both
-/// publish, and callers observe two different `Arc`s for one key.
-struct RacyPublishCache {
-    shard: Mutex<HashMap<u32, Arc<usize>>>,
+/// The pair table's publish-once slot (`schemacast-core`'s
+/// `pairs::publish` over a `OnceLock`) with the cell's `set` mutated to
+/// overwrite: the last writer wins instead of the first publication —
+/// the exact bug `OnceLock::set` rules out. Two racing builders can now
+/// both publish, and callers observe two different values for one slot.
+struct LastWriterWinsSlot {
+    cell: Mutex<Option<Arc<usize>>>,
 }
 
-impl RacyPublishCache {
-    fn get_or_insert_with(&self, key: u32, build: impl FnOnce() -> usize) -> Arc<usize> {
-        if let Some(v) = self.shard.lock().unwrap().get(&key) {
-            return Arc::clone(v);
+impl LastWriterWinsSlot {
+    fn get(&self) -> Option<Arc<usize>> {
+        self.cell.lock().unwrap().clone()
+    }
+
+    /// Seeded bug: replaces a published value instead of handing the
+    /// new one back.
+    fn set(&self, value: Arc<usize>) {
+        *self.cell.lock().unwrap() = Some(value);
+    }
+
+    /// `pairs::publish`, line for line.
+    fn publish(&self, build: impl FnOnce() -> Arc<usize>) -> Arc<usize> {
+        let mut build = Some(build);
+        loop {
+            if let Some(published) = self.get() {
+                return published;
+            }
+            if let Some(build) = build.take() {
+                self.set(build());
+            }
         }
-        let built = Arc::new(build());
-        // Seeded bug: last writer wins instead of first publication.
-        self.shard.lock().unwrap().insert(key, Arc::clone(&built));
-        built
     }
 }
 
 #[test]
-fn finds_double_publish_in_mutated_cache() {
+fn finds_double_publish_in_mutated_slot() {
     expect_found_and_replayable(
         || {
-            let cache = RacyPublishCache {
-                shard: Mutex::new(HashMap::new()),
+            let slot = LastWriterWinsSlot {
+                cell: Mutex::new(None),
             };
             let published: Vec<Arc<usize>> = thread::scope(|s| {
                 let handles: Vec<_> = (0..2)
                     .map(|id| {
-                        let cache = &cache;
-                        s.spawn(move || cache.get_or_insert_with(7, move || id))
+                        let slot = &slot;
+                        s.spawn(move || slot.publish(move || Arc::new(id)))
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
             assert!(
                 Arc::ptr_eq(&published[0], &published[1]),
-                "two values observable for one key"
+                "two values observable for one slot"
             );
         },
         "two values observable",

@@ -2,8 +2,8 @@
 //!
 //! The same corpus must produce identical outcomes, identical per-item
 //! stats, and identical totals at every worker count — plus a stress shape
-//! (many small documents over many type pairs) that hammers the sharded
-//! IDA cache from all workers at once.
+//! (many small documents over many type pairs) that hammers the context's
+//! pair table from all workers at once.
 
 use schemacast_core::{CastContext, CastOptions};
 use schemacast_engine::{BatchEngine, BatchReport, CorpusOptions, CorpusSource, ItemOutcome};
@@ -178,7 +178,7 @@ fn stress_many_small_docs_many_type_pairs() {
     assert_eq!(report.invalid, DOCS / 2);
 
     // Every record pair was demand-built under contention — exactly once
-    // per pair observable (the cache never republishes).
+    // per pair observable (the pair table never republishes).
     assert_eq!(ctx.cached_ida_count(), TYPES);
 
     // A single-threaded rerun agrees bit for bit.
@@ -255,7 +255,7 @@ fn certify_validates_the_preprocessing() {
     totals += run.stats();
     assert_eq!(totals.certs_emitted, run.certs_emitted);
     assert_eq!(totals.certs_checked, run.certs_checked);
-    // Certification and warm-up share the IDA cache: re-certifying after
+    // Certification and warm-up share the pair table: re-certifying after
     // warm-up gives the same bundle.
     engine.warm_up();
     let rerun = engine.certify();

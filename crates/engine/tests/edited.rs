@@ -6,8 +6,9 @@
 use schemacast_core::{CastContext, ModsValidator};
 use schemacast_engine::{BatchEngine, ItemOutcome};
 use schemacast_regex::Alphabet;
-use schemacast_schema::{AbstractSchema, SchemaBuilder, SimpleType};
-use schemacast_tree::{DeltaDoc, Doc, Edit};
+use schemacast_schema::{AbstractSchema, SchemaBuilder, Session, SimpleType};
+use schemacast_tree::{DeltaDoc, Doc, Edit, NodeId};
+use schemacast_workload::purchase_order as po;
 
 /// Root "feed" with `(entry | note)*`; entry requires a title, note is
 /// simple text. With `allow_note = false` the model is `entry*`.
@@ -221,5 +222,97 @@ fn edited_reports_are_deterministic_across_worker_counts() {
             baseline.deterministic_view(),
             "results differ between 1 and {workers} workers"
         );
+    }
+}
+
+/// Purchase orders with one script each, cycling through the three
+/// edit-verdict tiers: a stray `ghost` child of an item (each edit alone is
+/// unsafe, so the per-edit tier rejects), an insert into an item that the
+/// same script deletes again (only the script tier sees them cancel), and
+/// a new quantity (value-dependent, so both static tiers defer to Δ
+/// revalidation).
+fn three_tier_batch(ab: &mut Alphabet, n: usize) -> Vec<(Doc, Vec<Edit>)> {
+    let ghost = ab.intern("ghost");
+    (0..n)
+        .map(|i| {
+            let doc =
+                po::generate_document_with(ab, 2 + i % 4, true, |j| 1 + ((i + j) % 98) as u32);
+            // purchaseOrder → (shipTo, billTo, items); items → item*;
+            // item → (productName, quantity, USPrice, shipDate?).
+            let items = doc.children(doc.children(doc.root())[2]);
+            let item = items[i % items.len()];
+            let edits = match i % 3 {
+                0 => vec![Edit::InsertElement {
+                    parent: item,
+                    position: 0,
+                    label: ghost,
+                }],
+                1 => vec![
+                    Edit::InsertElement {
+                        parent: item,
+                        position: 1,
+                        label: ghost,
+                    },
+                    // The insert takes the next arena slot.
+                    Edit::DeleteLeaf {
+                        node: NodeId(doc.node_count() as u32),
+                    },
+                ],
+                _ => vec![Edit::SetText {
+                    node: doc.children(doc.children(item)[1])[0],
+                    text: (40 + 20 * (i % 5)).to_string(),
+                }],
+            };
+            (doc, edits)
+        })
+        .collect()
+}
+
+#[test]
+fn first_use_under_contention_is_deterministic_across_worker_counts() {
+    let mut session = Session::new();
+    let source = session
+        .parse_xsd(&po::source_maxex200_xsd())
+        .expect("source");
+    let target = session.parse_xsd(&po::target_xsd()).expect("target");
+    let items = three_tier_batch(&mut session.alphabet, 48);
+    // A fresh context per run, so every product IDA, string cast and
+    // safety analysis the batch needs is first published by that run's
+    // workers, racing each other.
+    let run = |workers: usize| {
+        let ctx = CastContext::new(&source, &target, &session.alphabet);
+        let report = BatchEngine::with_workers(&ctx, workers).validate_edited(&items);
+        (report, ctx.cached_ida_count())
+    };
+    let (baseline, idas) = run(1);
+
+    let totals = &baseline.totals;
+    assert!(
+        totals.static_rejects > 0,
+        "the per-edit tier decided nothing"
+    );
+    assert!(totals.script_skips > 0, "the script tier decided nothing");
+    let dynamic = baseline
+        .items
+        .iter()
+        .filter(|item| {
+            let s = &item.stats;
+            s.static_skips + s.static_rejects + s.script_skips + s.script_rejects == 0
+        })
+        .count();
+    assert!(dynamic > 0, "no script fell back to Δ revalidation");
+    assert!(baseline.valid > 0 && baseline.invalid > 0);
+    for ((doc, edits), item) in items.iter().zip(&baseline.items) {
+        assert_eq!(Some(item.outcome.is_valid()), oracle(&target, doc, edits));
+    }
+
+    for workers in [2, 8] {
+        let (report, built) = run(workers);
+        assert_eq!(
+            report.deterministic_view(),
+            baseline.deterministic_view(),
+            "results differ between 1 and {workers} workers"
+        );
+        assert_eq!(built, idas, "IDAs built differ at {workers} workers");
     }
 }

@@ -173,8 +173,17 @@ fn mutate(seed: &str, rng: &mut SmallRng) -> String {
     })
 }
 
+/// The property's case count: `PROPTEST_CASES` when it is set (the CI
+/// fuzz job raises it), otherwise `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(cases(256)))]
 
     #[test]
     fn random_mutations_never_panic_and_match_the_scalar_lexer(

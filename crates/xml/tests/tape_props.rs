@@ -125,8 +125,17 @@ fn assert_parsers_agree(input: &str) {
     assert_eq!(tape, scalar, "streams diverge on {input:?}");
 }
 
+/// The property's case count: `PROPTEST_CASES` when it is set (the CI
+/// fuzz job raises it), otherwise `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(cases(192)))]
 
     #[test]
     fn tape_parser_matches_scalar_reference(seed in 0u64..200_000) {

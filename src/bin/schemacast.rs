@@ -55,10 +55,13 @@ use schemacast::analysis;
 use schemacast::core::certification_digest;
 use schemacast::core::certify::{certify_context, certify_context_with_scripts, CertificationRun};
 use schemacast::core::{certify_chain, CastContext, Repairer, SchemaChain, Severity};
-use schemacast::engine::{BatchEngine, CorpusOptions, CorpusSource, ItemOutcome, VerdictCache};
+use schemacast::engine::{
+    BatchEngine, BatchReport, CorpusOptions, CorpusSource, ItemOutcome, VerdictCache,
+};
 use schemacast::schema::{AbstractSchema, SchemaBuilder, SchemaSpans, Session};
 use schemacast::tree::{Doc, WhitespaceMode};
 use schemacast::xml::parse_document;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -318,6 +321,72 @@ fn certify_gate(ctx: &CastContext<'_>) -> Result<CertificationRun, ExitCode> {
     }
 }
 
+/// Writes a document command's report to stdout: one line per document,
+/// the summary line, and with `--stats` the batch totals. Everything goes
+/// through one buffered lock on stdout, so a run makes a few large writes
+/// rather than one per document.
+fn print_report(opts: &Options, report: &BatchReport, certified: bool) -> std::io::Result<()> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    for item in &report.items {
+        let path = item.path.display();
+        match &item.outcome {
+            ItemOutcome::Valid => writeln!(out, "{path}: valid")?,
+            ItemOutcome::Invalid | ItemOutcome::ChainBroken { .. } => {
+                writeln!(out, "{path}: INVALID")?;
+            }
+            ItemOutcome::MalformedXml(e) => writeln!(out, "{path}: MALFORMED ({e})")?,
+            ItemOutcome::ReadFailed(e) | ItemOutcome::EditFailed(e) => {
+                writeln!(out, "{path}: READ FAILED ({e})")?;
+            }
+        }
+    }
+    writeln!(
+        out,
+        "{}: {} doc(s) on {} worker(s) in {:.1?}  ({:.0} docs/sec)  \
+         valid {} / invalid {} / malformed {} / read-failed {}",
+        opts.command,
+        report.items.len(),
+        report.workers,
+        report.elapsed,
+        report.docs_per_sec(),
+        report.valid,
+        report.invalid,
+        report.malformed,
+        report.read_failed
+    )?;
+    if opts.stats {
+        let totals = &report.totals;
+        writeln!(
+            out,
+            "  nodes visited: {}   subsumed skips: {}   value checks: {}",
+            totals.nodes_visited, totals.subsumed_skips, totals.value_checks
+        )?;
+        writeln!(
+            out,
+            "  bytes skipped lexically: {}   tag events avoided: {}",
+            totals.bytes_skipped, totals.events_avoided
+        )?;
+        writeln!(
+            out,
+            "  cache hits: {}   cache misses: {}",
+            report.cache_hits, report.cache_misses
+        )?;
+        writeln!(
+            out,
+            "  bytes mmapped: {}   bytes read: {}",
+            report.bytes_mmapped, report.bytes_read
+        )?;
+        if certified {
+            writeln!(
+                out,
+                "  certificates: {} emitted, {} checked in {} us",
+                totals.certs_emitted, totals.certs_checked, totals.cert_check_micros
+            )?;
+        }
+    }
+    out.flush()
+}
+
 /// The document commands' exit code: 2 when some input got no verdict,
 /// otherwise 1 when some document is invalid, otherwise 0.
 fn exit_code(any_invalid: bool, any_failed: bool) -> ExitCode {
@@ -407,15 +476,14 @@ fn main() -> ExitCode {
 
             // The cache trusts an existing file only under the same
             // context fingerprint — and, when certifying, the same
-            // certification digest.
-            let fp = ctx.fingerprint(&session.alphabet);
-            let cert_digest = cert_run
-                .as_ref()
-                .map_or(0, |run| certification_digest(fp, run));
-            let mut cache = opts
-                .cache
-                .as_deref()
-                .map(|p| VerdictCache::load(Path::new(p), fp, cert_digest));
+            // certification digest. The fingerprint keys only the cache.
+            let mut cache = opts.cache.as_deref().map(|p| {
+                let fp = ctx.fingerprint(&session.alphabet);
+                let cert_digest = cert_run
+                    .as_ref()
+                    .map_or(0, |run| certification_digest(fp, run));
+                VerdictCache::load(Path::new(p), fp, cert_digest)
+            });
             let mut report = match engine.validate_corpus(
                 &corpus,
                 &session.alphabet,
@@ -436,59 +504,9 @@ fn main() -> ExitCode {
             if let Some(run) = &cert_run {
                 report.totals += run.stats();
             }
-            for item in &report.items {
-                let path = item.path.display();
-                match &item.outcome {
-                    ItemOutcome::Valid => println!("{path}: valid"),
-                    ItemOutcome::Invalid | ItemOutcome::ChainBroken { .. } => {
-                        println!("{path}: INVALID");
-                    }
-                    ItemOutcome::MalformedXml(e) => println!("{path}: MALFORMED ({e})"),
-                    ItemOutcome::ReadFailed(e) | ItemOutcome::EditFailed(e) => {
-                        println!("{path}: READ FAILED ({e})");
-                    }
-                }
-            }
-            println!(
-                "{}: {} doc(s) on {} worker(s) in {:.1?}  ({:.0} docs/sec)  \
-                 valid {} / invalid {} / malformed {} / read-failed {}",
-                opts.command,
-                report.items.len(),
-                report.workers,
-                report.elapsed,
-                report.docs_per_sec(),
-                report.valid,
-                report.invalid,
-                report.malformed,
-                report.read_failed
-            );
-            if opts.stats {
-                println!(
-                    "  nodes visited: {}   subsumed skips: {}   value checks: {}",
-                    report.totals.nodes_visited,
-                    report.totals.subsumed_skips,
-                    report.totals.value_checks
-                );
-                println!(
-                    "  bytes skipped lexically: {}   tag events avoided: {}",
-                    report.totals.bytes_skipped, report.totals.events_avoided
-                );
-                println!(
-                    "  cache hits: {}   cache misses: {}",
-                    report.cache_hits, report.cache_misses
-                );
-                println!(
-                    "  bytes mmapped: {}   bytes read: {}",
-                    report.bytes_mmapped, report.bytes_read
-                );
-                if cert_run.is_some() {
-                    println!(
-                        "  certificates: {} emitted, {} checked in {} us",
-                        report.totals.certs_emitted,
-                        report.totals.certs_checked,
-                        report.totals.cert_check_micros
-                    );
-                }
+            if let Err(e) = print_report(&opts, &report, cert_run.is_some()) {
+                eprintln!("{}: cannot write the report: {e}", opts.command);
+                return ExitCode::from(2);
             }
             // Every item that is neither valid nor invalid never got a verdict.
             exit_code(

@@ -59,8 +59,9 @@ proptest! {
             prop_assert_eq!(fast_out, oracle_out, "outcomes diverge");
 
             // Decision counters must be identical; only the lexical-skip
-            // and stage-1 tape telemetry may differ (the oracle never
-            // skips lexically and builds no tape).
+            // telemetry may differ (the oracle never skips lexically, so
+            // it counts no skipped bytes, avoided events or skip hops;
+            // neither path builds a tape, so `tape_events` is 0 on both).
             let mut fast_stats = fast_stats.without_clocks();
             fast_stats.bytes_skipped = 0;
             fast_stats.events_avoided = 0;
@@ -78,7 +79,9 @@ proptest! {
 /// Anti-vacuity: the equivalence property above is meaningless if no
 /// document ever triggers the lexical skip path, so this test runs a
 /// deterministic slice of the same kind of corpus (identity casts, where
-/// every subtree is subsumed) and demands nonzero skip telemetry.
+/// every subtree is subsumed) and demands nonzero skip telemetry,
+/// including skip hops: one per skipped element that is not
+/// self-closing, each served by one depth-counting scan.
 #[test]
 fn skip_machinery_is_exercised_by_the_corpus() {
     let mut bytes = 0usize;
@@ -110,7 +113,7 @@ fn skip_machinery_is_exercised_by_the_corpus() {
     );
     assert!(
         hops > 0,
-        "no skip was served as an O(1) tape hop (hops={hops}) — the \
-         tape-fed skip path is not being exercised"
+        "no skipped element was counted as a skip hop (hops={hops}) — \
+         the depth-counting skip scan is not being exercised"
     );
 }

@@ -16,6 +16,7 @@
 //! | SL0006 | guard-across-io    | no lock guard held across file I/O |
 //! | SL0007 | walker-recursion   | no function in the tree walkers or the XML lexers calls itself |
 //! | SL0008 | tape-off-validation-path | `core` and `engine` library code never names `StructuralIndex` |
+//! | SL0009 | no-shared-writes-per-element | the `core` validator walkers never name `Mutex`, `RwLock` or `Arc` |
 
 use crate::lexer::SourceFile;
 use std::collections::BTreeMap;
@@ -76,6 +77,12 @@ const WALKER_FILES: &[&str] = &[
 /// demand, so a tape built here would be an O(document) pass and buffer
 /// that the validator never reads.
 const TAPE_FREE_CRATES: &[&str] = &["crates/core/", "crates/engine/"];
+
+/// What SL0009 forbids the `core` files of [`WALKER_FILES`] to name: a
+/// lock, or a shared reference count. Either would be taken or written
+/// once per element by every worker validating against one context; the
+/// validators borrow per-pair artifacts from the context's table instead.
+const SHARED_WRITE_TYPES: &[&str] = &["Mutex", "RwLock", "Arc"];
 
 /// Calls that perform file I/O, for the guard-across-io rule.
 const IO_MARKERS: &[&str] = &[
@@ -180,6 +187,11 @@ pub const RULES: &[Rule] = &[
         id: "SL0008",
         name: "tape-off-validation-path",
         check: tape_off_validation_path,
+    },
+    Rule {
+        id: "SL0009",
+        name: "no-shared-writes-per-element",
+        check: no_shared_writes_per_element,
     },
 ];
 
@@ -556,6 +568,39 @@ fn tape_off_validation_path(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation
     }
 }
 
+fn no_shared_writes_per_element(rule: &Rule, ws: &Workspace, out: &mut Vec<Violation>) {
+    for file in ws.files {
+        let validator =
+            file.rel.starts_with("crates/core/") && WALKER_FILES.contains(&file.rel.as_str());
+        if !validator {
+            continue;
+        }
+        for (line, code) in file.library_code() {
+            if let Some(name) = SHARED_WRITE_TYPES.iter().find(|n| names_ident(code, n)) {
+                rule.emit(
+                    out,
+                    &file.rel,
+                    line,
+                    format!(
+                        "`{name}` in a validator walker — borrow per-pair artifacts from the \
+                         context's pair table; a lock or a shared reference count here is \
+                         taken or written once per element by every worker"
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// Whether `code` names `ident` as a whole identifier.
+fn names_ident(code: &str, ident: &str) -> bool {
+    code.match_indices(ident).any(|(at, _)| {
+        let before = code[..at].bytes().next_back();
+        let after = code[at + ident.len()..].bytes().next();
+        !before.is_some_and(is_ident_byte) && !after.is_some_and(is_ident_byte)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,6 +882,57 @@ mod tests {
             "//! No [`StructuralIndex`] is built here.\n",
         );
         assert!(!ids(&ws_run(&[doc])).contains(&"SL0008"));
+    }
+
+    #[test]
+    fn sl0009_keeps_locks_and_refcounts_out_of_the_core_validators() {
+        let count = |v: &[Violation]| ids(v).iter().filter(|id| **id == "SL0009").count();
+        for path in ["crates/core/src/stream.rs", "crates/core/src/cast.rs"] {
+            let shared = lex(
+                path,
+                false,
+                "use loomlite::sync::{Arc, Mutex};\n\
+                 fn f(m: &Mutex<u8>, a: &Arc<u8>) -> Arc<u8> { Arc::clone(a) }\n\
+                 struct S { cache: RwLock<u8> }\n",
+            );
+            assert_eq!(
+                count(&ws_run(&[shared])),
+                3,
+                "the import, the signature and the field in {path}"
+            );
+        }
+
+        // Identifiers that only contain a banned name are other names.
+        let lookalike = lex(
+            "crates/core/src/mods.rs",
+            false,
+            "fn f(arcs: &[u8], len: ArcLength, g: MutexGuardLike) -> Search { todo() }\n",
+        );
+        assert_eq!(count(&ws_run(&[lookalike])), 0);
+
+        // Test code, prose, the pair table itself and the other crates'
+        // walkers may name them.
+        let test_only = lex(
+            "crates/core/src/stream.rs",
+            false,
+            "#[cfg(test)]\nmod tests { use std::sync::{Arc, Mutex}; }\n",
+        );
+        assert_eq!(count(&ws_run(&[test_only])), 0);
+        let doc = lex(
+            "crates/core/src/cast.rs",
+            false,
+            "//! No [`Arc`] or `Mutex` on the per-element path.\n",
+        );
+        assert_eq!(count(&ws_run(&[doc])), 0);
+        for path in [
+            "crates/core/src/pairs.rs",
+            "crates/core/src/safety.rs",
+            "crates/engine/src/corpus.rs",
+            "crates/tree/src/modtrie.rs",
+        ] {
+            let elsewhere = lex(path, false, "use loomlite::sync::{Arc, Mutex};\n");
+            assert_eq!(count(&ws_run(&[elsewhere])), 0, "{path}");
+        }
     }
 
     #[test]
