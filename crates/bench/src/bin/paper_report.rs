@@ -80,7 +80,7 @@ fn figure3a(fixture: &Fixture) {
         let f = median_time_us(15, || {
             assert!(full.validate(doc).is_valid());
         });
-        println!("{:>8} {:>12.2} {:>14.2} {:>12.2}", n, c, p, f);
+        println!("{n:>8} {c:>12.2} {p:>14.2} {f:>12.2}");
         xs.push(*n as f64);
         cast_ys.push(c);
         full_ys.push(f);
@@ -88,8 +88,7 @@ fn figure3a(fixture: &Fixture) {
     let (cast_slope, _) = linear_fit(&xs, &cast_ys);
     let (full_slope, _) = linear_fit(&xs, &full_ys);
     println!(
-        "shape check: cast slope {:.4} µs/item (≈0 expected), full slope {:.4} µs/item (>0 expected)",
-        cast_slope, full_slope
+        "shape check: cast slope {cast_slope:.4} µs/item (≈0 expected), full slope {full_slope:.4} µs/item (>0 expected)"
     );
     println!("paper claim: cast constant in document size, Xerces linear.\n");
 }

@@ -24,6 +24,7 @@
 //! [`explain`]: crate::explain()
 //! [`ModsValidator`]: crate::ModsValidator
 
+use crate::labels::LabelTable;
 use crate::pairs::{publish, PairTable};
 use crate::relations::TypeRelations;
 use crate::safety::Exemptions;
@@ -90,6 +91,9 @@ pub struct CastContext<'a> {
     options: CastOptions,
     /// The per-pair artifacts, indexed by `s·|T| + t`.
     pub(crate) pairs: PairTable,
+    /// The labels of the alphabet the context was built over, for the
+    /// streaming validator's start tags.
+    pub(crate) labels: LabelTable,
 }
 
 impl<'a> CastContext<'a> {
@@ -102,7 +106,9 @@ impl<'a> CastContext<'a> {
         Self::with_options(source, target, alphabet, CastOptions::default())
     }
 
-    /// Preprocesses the pair with explicit options.
+    /// Preprocesses the pair with explicit options: the relation fixpoints,
+    /// and a read-only table of `alphabet`'s labels that the streaming
+    /// validator resolves start tags through.
     pub fn with_options(
         source: &'a AbstractSchema,
         target: &'a AbstractSchema,
@@ -116,6 +122,7 @@ impl<'a> CastContext<'a> {
             relations,
             options,
             pairs: PairTable::new(source.type_count(), target.type_count()),
+            labels: LabelTable::new(alphabet),
         }
     }
 

@@ -43,6 +43,7 @@ pub mod dtdcast;
 pub mod explain;
 pub mod fingerprint;
 pub mod full;
+mod labels;
 pub mod mods;
 mod pairs;
 pub mod relations;

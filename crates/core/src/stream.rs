@@ -11,15 +11,23 @@
 //! Two execution paths share the frame machinery:
 //!
 //! * [`StreamingCast::validate_pull`] (and [`validate_str`] on top of it) —
-//!   the production fast path. It drives the zero-copy pull parser
-//!   directly: element labels arrive pre-interned as dense [`NameId`]s and
-//!   are resolved to schema symbols through a reusable
-//!   [`SymCache`] (one alphabet hash per *distinct* name per document), and
-//!   a subsumed subtree (`(source, target) ∈ R_sub`) is skipped
-//!   **lexically** with [`PullParser::skip_subtree`] — one depth-counting
-//!   byte scan to the matching end tag, no tokenization. The parser lexes
-//!   each event on demand and builds nothing ahead of its cursor, so this
-//!   path holds O(depth) state. The bytes and tag events so avoided are
+//!   the production fast path. It drives the zero-copy pull parser's
+//!   cursor directly where an event would be waste:
+//!   - inside element content it passes the whitespace between tags with
+//!     [`PullParser::skip_whitespace`], so that whitespace costs no event;
+//!   - on entering a simple-typed element it takes the value and the end
+//!     tag in one [`PullParser::plain_content`] step and checks the value
+//!     on the borrowed span;
+//!   - it resolves each start tag's name through the context's read-only
+//!     label table, built once per context, with no per-document interning;
+//!   - it skips a subsumed subtree (`(source, target) ∈ R_sub`)
+//!     **lexically** with [`PullParser::skip_subtree`] — one depth-counting
+//!     byte scan to the matching end tag, no tokenization.
+//!
+//!   Anything else (entity references, CDATA, comments, mixed runs) arrives
+//!   as events and is judged as the generic path judges it. The parser
+//!   lexes on demand and builds nothing ahead of its cursor, so this path
+//!   holds O(depth) state. The bytes and tag events a skip avoids are
 //!   recorded in [`ValidationStats::bytes_skipped`] /
 //!   [`ValidationStats::events_avoided`].
 //! * [`StreamingCast::validate_events`] — the generic path over any event
@@ -31,13 +39,12 @@
 //! the earliest event the decision procedure permits on both paths.
 //!
 //! [`validate_str`]: StreamingCast::validate_str
-//! [`NameId`]: schemacast_xml::NameId
 
 use crate::cast::CastContext;
 use crate::stats::{CastOutcome, ValidationStats};
 use schemacast_automata::hot::state_flags;
 use schemacast_automata::{HotDfa, ProductIda, StateId};
-use schemacast_regex::{Alphabet, Sym, SymCache};
+use schemacast_regex::{Alphabet, Sym};
 use schemacast_schema::{ComplexType, SimpleType, TypeDef, TypeId};
 use schemacast_xml::{PullEvent, PullParser, XmlError};
 use std::borrow::Cow;
@@ -47,19 +54,17 @@ pub struct StreamingCast<'a, 'b> {
     ctx: &'a CastContext<'b>,
 }
 
-/// Reusable per-worker scratch state for the streaming fast path.
+/// An empty stand-in for per-worker validation state, which the streaming
+/// fast path does not need.
 ///
-/// Holds the lifetime-free [`SymCache`], so batch workers resolve labels
-/// with zero steady-state allocation across documents; it is sized by the
-/// alphabet, never by a document. Product IDAs are not kept here: the
-/// context's pair table lends them to every worker for the context's
-/// lifetime, so a scratch can move freely between contexts. Create one per
-/// worker (or per call site) and pass it to
-/// [`StreamingCast::validate_str_with`] / [`StreamingCast::validate_pull`].
+/// Labels resolve through the context's read-only label table and product
+/// IDAs through its pair table, so a validation keeps no state between
+/// documents. The type and the scratch parameters of
+/// [`StreamingCast::validate_str_with`] and [`StreamingCast::validate_pull`]
+/// remain only because the benchmark harness (`perfbench`) calls them;
+/// they go with the next change to the benchmark.
 #[derive(Debug, Default)]
-pub struct StreamScratch {
-    syms: SymCache,
-}
+pub struct StreamScratch;
 
 /// One open element's validation state. Borrows simple-typed character data
 /// from the document (`'t`) until a second run forces an owned buffer, and
@@ -124,13 +129,12 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         text: &str,
         alphabet: &Alphabet,
     ) -> Result<(CastOutcome, ValidationStats), XmlError> {
-        let mut scratch = StreamScratch::default();
-        self.validate_str_with(text, alphabet, &mut scratch)
+        self.validate_pull(&mut PullParser::new(text), alphabet, &mut StreamScratch)
     }
 
-    /// [`validate_str`](StreamingCast::validate_str) with caller-provided
-    /// scratch state — the batch engine passes one [`StreamScratch`] per
-    /// worker so repeated documents share allocations.
+    /// [`validate_str`](StreamingCast::validate_str); the field-less
+    /// [`StreamScratch`] is ignored and remains only for the benchmark
+    /// harness.
     ///
     /// # Errors
     /// Returns `Err` only for malformed XML.
@@ -138,23 +142,27 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         &self,
         text: &str,
         alphabet: &Alphabet,
-        scratch: &mut StreamScratch,
+        _scratch: &mut StreamScratch,
     ) -> Result<(CastOutcome, ValidationStats), XmlError> {
-        self.validate_pull(&mut PullParser::new(text), alphabet, scratch)
+        self.validate_str(text, alphabet)
     }
 
     /// Validates by driving a pull parser directly — the production fast
-    /// path.
+    /// path. The field-less [`StreamScratch`] is ignored and remains only
+    /// for the benchmark harness.
     ///
     /// Compared to [`validate_events`](StreamingCast::validate_events),
-    /// this path (a) resolves labels through the parser's lexer-level
-    /// interner plus a dense [`SymCache`] instead of hashing every start
-    /// tag, and (b) skips subsumed subtrees *lexically* via
+    /// this path (a) passes whitespace between tags and takes a plain
+    /// simple value with its end tag without producing events, (b)
+    /// resolves labels through the context's label table (falling back to
+    /// `alphabet` for labels interned after the context was built), and (c)
+    /// skips subsumed subtrees *lexically* via
     /// [`PullParser::skip_subtree`], so the skipped bytes are never
     /// tokenized at all. Outcomes and decision counters are identical to
     /// the generic path (property-tested); only
-    /// [`ValidationStats::bytes_skipped`] and
-    /// [`ValidationStats::events_avoided`] differ (the generic path leaves
+    /// [`ValidationStats::bytes_skipped`],
+    /// [`ValidationStats::events_avoided`] and
+    /// [`ValidationStats::tape_skip_hops`] differ (the generic path leaves
     /// them 0).
     ///
     /// # Errors
@@ -163,21 +171,33 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         &self,
         parser: &mut PullParser<'t>,
         alphabet: &Alphabet,
-        scratch: &mut StreamScratch,
+        _scratch: &mut StreamScratch,
     ) -> Result<(CastOutcome, ValidationStats), XmlError> {
-        let syms = &mut scratch.syms;
-        syms.begin();
+        let labels = &self.ctx.labels;
         let mut stats = ValidationStats::default();
         let mut stack: Vec<Frame<'a, 't>> = Vec::new();
         let mut seen_root = false;
 
-        while let Some(event) = parser.next() {
+        loop {
+            if let Some(Frame::Complex { .. }) = stack.last() {
+                parser.skip_whitespace();
+            }
+            let Some(event) = parser.next() else { break };
             match event? {
                 PullEvent::Doctype { .. } => {}
-                PullEvent::Start { name, id, .. } => {
-                    let sym = syms.resolve(alphabet, id.index(), name);
+                PullEvent::Start { name, .. } => {
+                    let sym = labels.get(name).or_else(|| alphabet.lookup(name));
                     match self.on_start(sym, &mut stack, &mut seen_root, &mut stats) {
-                        StartAction::Entered => {}
+                        StartAction::Entered => {
+                            if let Some(&Frame::Simple { simple, .. }) = stack.last() {
+                                if let Some(value) = parser.plain_content() {
+                                    stack.pop();
+                                    if !check_value(simple, value, &mut stats) {
+                                        return Ok((CastOutcome::Invalid, stats));
+                                    }
+                                }
+                            }
+                        }
                         StartAction::Skip => {
                             let skipped = parser.skip_subtree()?;
                             stats.bytes_skipped += skipped.bytes;
@@ -369,16 +389,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
     fn on_end(&self, frame: Frame<'a, '_>, stats: &mut ValidationStats) -> bool {
         match frame {
             Frame::Simple { simple, text } => {
-                stats.value_checks += 1;
-                let text = text.as_deref().unwrap_or("");
-                // Whitespace-only content is treated as the empty value,
-                // matching the tree validators (Doc::validation_children
-                // drops ignorable whitespace before simple-value checks).
-                if all_xml_whitespace(text) {
-                    simple.validate("")
-                } else {
-                    simple.validate(text)
-                }
+                check_value(simple, text.as_deref().unwrap_or(""), stats)
             }
             Frame::Complex { content, .. } => match content {
                 Content::Ida {
@@ -449,6 +460,19 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                 })
             }
         }
+    }
+}
+
+/// Checks a simple-typed element's whole character data. Whitespace-only
+/// content is treated as the empty value, matching the tree validators
+/// (`Doc::validation_children` drops ignorable whitespace before
+/// simple-value checks).
+fn check_value(simple: &SimpleType, text: &str, stats: &mut ValidationStats) -> bool {
+    stats.value_checks += 1;
+    if all_xml_whitespace(text) {
+        simple.validate("")
+    } else {
+        simple.validate(text)
     }
 }
 
@@ -691,8 +715,8 @@ mod tests {
     #[test]
     fn scratch_moves_between_contexts_with_equal_type_counts() {
         // Same type ids on both sides, different target content models: a
-        // product IDA kept per scratch rather than per context would answer
-        // for the other.
+        // product IDA or label resolution kept anywhere but in the context
+        // would answer for the other.
         let mut ab = Alphabet::new();
         let mk = |ab: &mut Alphabet, model: &str| {
             let mut b = SchemaBuilder::new(ab);
@@ -708,7 +732,7 @@ mod tests {
         assert_eq!(ab_first.type_count(), b_first.type_count());
         let ctx_ab = CastContext::new(&source, &ab_first, &ab);
         let ctx_b = CastContext::new(&source, &b_first, &ab);
-        let mut scratch = StreamScratch::default();
+        let mut scratch = StreamScratch;
         for _ in 0..2 {
             for (text, valid_ab, valid_b) in [
                 ("<r><a/><b/></r>", true, false),
@@ -729,7 +753,7 @@ mod tests {
         let (source, target, ab) = schemas();
         let ctx = CastContext::new(&source, &target, &ab);
         let sc = StreamingCast::new(&ctx);
-        let mut scratch = StreamScratch::default();
+        let mut scratch = StreamScratch;
         for _ in 0..3 {
             let (out, _) = sc
                 .validate_str_with(VALID, &ab, &mut scratch)

@@ -30,7 +30,7 @@ use loomlite::sync::mpsc::SyncSender;
 use loomlite::sync::Mutex;
 use loomlite::thread;
 use mmapio::Mmap;
-use schemacast_core::{StreamScratch, StreamingCast, ValidationStats};
+use schemacast_core::{StreamingCast, ValidationStats};
 use schemacast_regex::Alphabet;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
@@ -143,7 +143,6 @@ impl<'c, 's> BatchEngine<'c, 's> {
                 .map(|_| {
                     let rx = &rx;
                     scope.spawn(move || {
-                        let mut scratch = StreamScratch::default();
                         // Reused for sub-threshold files; holds at most
                         // one document, so memory stays O(workers).
                         let mut buffer: Vec<u8> = Vec::new();
@@ -164,25 +163,18 @@ impl<'c, 's> BatchEngine<'c, 's> {
                             // the corpus: a panicking validator yields a
                             // per-item failure and the worker keeps
                             // draining. Unwind safety: the only shared
-                            // structures process_one touches are the
-                            // publish-once caches, whose locks never
-                            // guard user code mid-panic; the per-worker
-                            // scratch and buffer are replaced wholesale
+                            // structure process_one writes is the
+                            // context's publish-once pair table, which a
+                            // panic cannot leave half-written; the
+                            // per-worker buffer is replaced wholesale
                             // below.
                             let caught =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    self.process_one(
-                                        work,
-                                        alphabet,
-                                        cache_snapshot,
-                                        &mut buffer,
-                                        &mut scratch,
-                                    )
+                                    self.process_one(work, alphabet, cache_snapshot, &mut buffer)
                                 }));
                             match caught {
                                 Ok(done) => pile.push(done),
                                 Err(payload) => {
-                                    scratch = StreamScratch::default();
                                     buffer = Vec::new();
                                     let msg = panic_message(payload.as_ref());
                                     let item =
@@ -227,7 +219,6 @@ impl<'c, 's> BatchEngine<'c, 's> {
         alphabet: &Alphabet,
         cache: Option<&VerdictCache>,
         buffer: &mut Vec<u8>,
-        scratch: &mut StreamScratch,
     ) -> (usize, ItemReport, PendingInsert) {
         let Work {
             idx,
@@ -291,15 +282,15 @@ impl<'c, 's> BatchEngine<'c, 's> {
                         ItemOutcome::MalformedXml(format!("invalid UTF-8: {e}")),
                         ValidationStats::default(),
                     ),
-                    Ok(text) => match StreamingCast::new(self.context())
-                        .validate_str_with(text, alphabet, scratch)
-                    {
-                        Ok((outcome, stats)) => (ItemOutcome::from_cast(outcome), stats),
-                        Err(e) => (
-                            ItemOutcome::MalformedXml(e.to_string()),
-                            ValidationStats::default(),
-                        ),
-                    },
+                    Ok(text) => {
+                        match StreamingCast::new(self.context()).validate_str(text, alphabet) {
+                            Ok((outcome, stats)) => (ItemOutcome::from_cast(outcome), stats),
+                            Err(e) => (
+                                ItemOutcome::MalformedXml(e.to_string()),
+                                ValidationStats::default(),
+                            ),
+                        }
+                    }
                 };
                 let insert = keyed.and_then(|(_, hash)| {
                     CacheEntry::from_outcome(&outcome, stats).map(|e| (hash, e))

@@ -4,6 +4,12 @@
 //! session shares a single [`Alphabet`], so that a label comparison anywhere
 //! in the system is a `u32` comparison and DFA transition tables can be dense
 //! `states × |Σ|` arrays.
+//!
+//! The alphabet grows: schema compilation and tree import intern into it.
+//! The streaming validator does not hash document labels here per start
+//! tag; the cast context takes a read-only snapshot of the labels when it
+//! is built and falls back to [`Alphabet::lookup`] only for a name the
+//! snapshot lacks.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -96,79 +102,9 @@ impl Alphabet {
     }
 }
 
-/// A dense memo from per-document lexer name ids to alphabet symbols.
-///
-/// Streaming consumers pair this with a tokenizer-level name interner (the
-/// pull parser's `NameId`s): the tokenizer hashes each name occurrence once
-/// with a cheap FNV table, and this cache resolves each *distinct* name
-/// against the (SipHash-backed) [`Alphabet`] exactly once per document.
-/// After that, every occurrence is an O(1) indexed load — including the
-/// negative case of labels the schemas never interned (`None` is memoized
-/// too).
-///
-/// The cache is lifetime-free and reusable: call [`SymCache::begin`] at the
-/// start of each document to reset it while keeping its capacity, which is
-/// what lets batch workers process thousands of documents with zero
-/// steady-state allocation.
-#[derive(Debug, Default, Clone)]
-pub struct SymCache {
-    slots: Vec<Slot>,
-}
-
-/// One memo slot: unresolved, or resolved to a lookup result (which may be
-/// `None` for labels the schemas never interned).
-#[derive(Debug, Default, Clone, Copy)]
-enum Slot {
-    #[default]
-    Unresolved,
-    Resolved(Option<Sym>),
-}
-
-impl SymCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the memo for a new document, keeping allocated capacity.
-    pub fn begin(&mut self) {
-        self.slots.clear();
-    }
-
-    /// Resolves `name` (carrying the tokenizer's dense per-document `id`)
-    /// against `alphabet`, hashing only the first time each id is seen.
-    pub fn resolve(&mut self, alphabet: &Alphabet, id: usize, name: &str) -> Option<Sym> {
-        if id >= self.slots.len() {
-            self.slots.resize(id + 1, Slot::Unresolved);
-        }
-        if let Slot::Resolved(memo) = self.slots[id] {
-            return memo;
-        }
-        let sym = alphabet.lookup(name);
-        self.slots[id] = Slot::Resolved(sym);
-        sym
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sym_cache_memoizes_hits_and_misses() {
-        let mut a = Alphabet::new();
-        let ship = a.intern("ship");
-        let mut cache = SymCache::new();
-        assert_eq!(cache.resolve(&a, 0, "ship"), Some(ship));
-        assert_eq!(cache.resolve(&a, 1, "foreign"), None);
-        // Memoized: a stale name for the same id returns the cached answer,
-        // proving no re-hash happens on repeat resolutions.
-        assert_eq!(cache.resolve(&a, 0, "not-ship"), Some(ship));
-        assert_eq!(cache.resolve(&a, 1, "ship"), None);
-        // begin() invalidates the memo.
-        cache.begin();
-        assert_eq!(cache.resolve(&a, 0, "foreign"), None);
-    }
 
     #[test]
     fn intern_is_idempotent() {

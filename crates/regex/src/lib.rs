@@ -26,7 +26,7 @@ pub mod display;
 pub mod glushkov;
 pub mod parser;
 
-pub use alphabet::{Alphabet, Sym, SymCache};
+pub use alphabet::{Alphabet, Sym};
 pub use ast::Regex;
 pub use glushkov::{GlushkovNfa, GlushkovSets};
 pub use parser::{parse_regex, ParseError};

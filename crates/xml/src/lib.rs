@@ -29,6 +29,6 @@ pub mod serialize;
 pub use error::XmlError;
 pub use index::StructuralIndex;
 pub use parser::{parse_document, XmlDocument, XmlElement, XmlNode};
-pub use pull::{NameId, PullEvent, PullParser, SubtreeSkip};
+pub use pull::{PullEvent, PullParser, SubtreeSkip};
 pub use scalar::ScalarParser;
 pub use serialize::{escape_attr, escape_text, to_pretty_string, to_string};

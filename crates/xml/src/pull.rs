@@ -17,16 +17,21 @@
 //!   PIs produce no event and a run of them is passed in a loop. A start
 //!   tag is read once, by the loop that validates and counts its
 //!   attributes, and an end tag is one slice compare against the open
-//!   element's name. No tape or other buffer grows with the document.
+//!   element's name, which the open-element stack holds as a slice of the
+//!   input. No tape or other buffer grows with the document.
 //! * **Borrowed events.** Element and attribute names are `&str` slices of
 //!   the input; text runs and attribute values are [`Cow`]s that stay
 //!   borrowed unless entity resolution forces an owned buffer. On the
 //!   no-entity path the parser performs **zero** per-event string
 //!   allocations (asserted by `tests/zero_copy.rs`).
-//! * **Lexer-level label interning.** Every distinct element name is
-//!   assigned a dense per-document [`NameId`] by a fast hash table, so
-//!   downstream consumers (the streaming cast, the tree builder) hash each
-//!   *distinct* name once and afterwards work with integer ids.
+//! * **Two steps that produce no event.** A validator that knows what it
+//!   expects next drives the cursor past the two most common runs itself:
+//!   [`PullParser::skip_whitespace`] passes the ASCII whitespace between
+//!   tags, and [`PullParser::plain_content`] takes an element's whole
+//!   content when it is one entity-free run followed directly by the
+//!   element's own end tag. Anything else is left to `next()`, so both
+//!   steps are exactly the event stream with events dropped
+//!   (`tests/zero_copy.rs` forks the parser to check it).
 //! * **Subtree skipping by one depth-counting scan.**
 //!   [`PullParser::skip_subtree`] scans from the cursor to the matching end
 //!   tag under the structural index's rules, counting depth; it stores and
@@ -46,23 +51,6 @@ use crate::index::{skip_element, Markup, StructuralIndex};
 use crate::scan;
 use std::borrow::Cow;
 
-/// A dense per-document id for a distinct element name.
-///
-/// Ids are assigned by the parser's internal interner in first-appearance
-/// order and are stable for the lifetime of the parser; `NameId(0)` is the
-/// first distinct tag name seen. Use [`PullParser::name_of`] to recover the
-/// string and [`PullParser::name_count`] for the table size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NameId(pub u32);
-
-impl NameId {
-    /// The dense index of this name.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// One parsing event, borrowing from the input document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PullEvent<'a> {
@@ -78,8 +66,6 @@ pub enum PullEvent<'a> {
     Start {
         /// Tag name — a slice of the input.
         name: &'a str,
-        /// The name's dense per-document id from the lexer interner.
-        id: NameId,
         /// Lazy view of the attributes in document order. The tag was
         /// validated when the event was produced, but nothing is
         /// materialized up front — iterating re-lexes the (already
@@ -91,8 +77,6 @@ pub enum PullEvent<'a> {
     End {
         /// Tag name — a slice of the input.
         name: &'a str,
-        /// The same id the matching [`PullEvent::Start`] carried.
-        id: NameId,
     },
     /// Character data. Borrowed unless entity resolution forced an owned
     /// buffer; adjacent runs may be split at CDATA boundaries.
@@ -146,18 +130,39 @@ impl<'a> Attrs<'a> {
         self.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
-    /// Whether any of the (validated) attributes is named `name` — the
-    /// lexers' duplicate check. Scans names only; never expands values.
-    pub(crate) fn names_contain(&self, name: &str) -> bool {
+    /// The lexers' duplicate check, run once the tag's attributes are
+    /// lexed: the error names the first attribute, in document order, whose
+    /// name an earlier one already has, at the offset just past its value.
+    /// Sorting the names keeps a hostile tag with n attributes at
+    /// O(n log n); a tag with fewer than two attributes costs nothing.
+    /// Scans names only; never expands values.
+    pub(crate) fn check_duplicates(&self) -> Result<(), XmlError> {
+        if self.count < 2 {
+            return Ok(());
+        }
+        let mut names = Vec::with_capacity(self.count);
         let mut pos = self.start;
         for _ in 0..self.count {
             let raw = scan_attr(self.text, pos);
-            if raw.name == name {
-                return true;
-            }
+            names.push((raw.name, raw.next));
             pos = raw.next;
         }
-        false
+        // Sorted by name, then by offset: within a run of equal names every
+        // entry after the first is a repeat.
+        names.sort_unstable();
+        let first_repeat = names
+            .windows(2)
+            .filter(|pair| pair[0].0 == pair[1].0)
+            .map(|pair| pair[1])
+            .min_by_key(|&(_, at)| at);
+        match first_repeat {
+            Some((name, at)) => Err(err_at(
+                self.text.as_bytes(),
+                at,
+                &format!("duplicate attribute {name:?}"),
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -377,9 +382,8 @@ pub struct PullParser<'a> {
     pos: usize,
     /// Byte offset of the markup (or text run) of the last event returned.
     event_start: usize,
-    /// The interned names of the open elements.
-    stack: Vec<NameId>,
-    names: NameTable<'a>,
+    /// The names of the open elements, as slices of the input.
+    stack: Vec<&'a str>,
     state: State,
     /// Queued event (self-closing tags emit two events).
     queued: Option<PullEvent<'a>>,
@@ -406,7 +410,6 @@ impl<'a> PullParser<'a> {
             pos: 0,
             event_start: 0,
             stack: Vec::new(),
-            names: NameTable::default(),
             state: State::Active,
             queued: None,
             seen_root: false,
@@ -436,19 +439,6 @@ impl<'a> PullParser<'a> {
     /// run) began.
     pub fn last_event_offset(&self) -> usize {
         self.event_start
-    }
-
-    /// Number of distinct element names interned so far.
-    pub fn name_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// The string for an interned name id.
-    ///
-    /// # Panics
-    /// Panics if `id` did not come from this parser.
-    pub fn name_of(&self, id: NameId) -> &'a str {
-        self.names.get(id)
     }
 
     fn err(&self, message: &str) -> XmlError {
@@ -577,13 +567,27 @@ impl<'a> PullParser<'a> {
         self.event_start = lt;
         self.pos = lt + 1;
         let name = self.name()?;
-        let id = self.names.intern(name);
         // Validate-and-count pass: each attribute is fully checked (syntax,
         // quoting, entities, duplicates) but nothing is materialized — the
         // returned `Attrs` view re-lexes the already-validated span on
         // demand, so documents whose attributes are never read pay nothing.
         let attr_start = self.pos;
         let mut count = 0usize;
+        let closed = self.attributes(&mut count);
+        let attributes = Attrs::from_span(self.text, attr_start, count);
+        attributes.check_duplicates()?;
+        if closed? {
+            self.queued = Some(PullEvent::End { name });
+        } else {
+            self.stack.push(name);
+        }
+        Ok(PullEvent::Start { name, attributes })
+    }
+
+    /// Lexes the attributes at the cursor through the tag's `/>` or `>`,
+    /// counting each one whose value was read. Returns whether the tag
+    /// closed itself.
+    fn attributes(&mut self, count: &mut usize) -> Result<bool, XmlError> {
         loop {
             self.skip_ws();
             match self.peek() {
@@ -591,27 +595,15 @@ impl<'a> PullParser<'a> {
                     if !self.starts_with("/>") {
                         return Err(self.err("malformed empty-element tag"));
                     }
-                    let attributes = Attrs::from_span(self.text, attr_start, count);
                     self.pos += 2;
-                    self.queued = Some(PullEvent::End { name, id });
-                    return Ok(PullEvent::Start {
-                        name,
-                        id,
-                        attributes,
-                    });
+                    return Ok(true);
                 }
                 Some(b'>') => {
-                    let attributes = Attrs::from_span(self.text, attr_start, count);
                     self.pos += 1;
-                    self.stack.push(id);
-                    return Ok(PullEvent::Start {
-                        name,
-                        id,
-                        attributes,
-                    });
+                    return Ok(false);
                 }
                 Some(b) if is_name_start(b) => {
-                    let attr = self.name()?;
+                    self.name()?;
                     self.skip_ws();
                     if self.peek() != Some(b'=') {
                         return Err(self.err("expected '=' after attribute name"));
@@ -619,10 +611,7 @@ impl<'a> PullParser<'a> {
                     self.pos += 1;
                     self.skip_ws();
                     self.attribute_value()?;
-                    if Attrs::from_span(self.text, attr_start, count).names_contain(attr) {
-                        return Err(self.err(&format!("duplicate attribute {attr:?}")));
-                    }
-                    count += 1;
+                    *count += 1;
                 }
                 _ => return Err(self.err("malformed start tag")),
             }
@@ -630,8 +619,7 @@ impl<'a> PullParser<'a> {
     }
 
     /// The end tag at `lt`. The bytes after `</` are compared with the open
-    /// element's interned name, then `>` is expected — no second intern,
-    /// and matching names imply matching ids. Anything else (whitespace
+    /// element's name, then `>` is expected. Anything else (whitespace
     /// before `>`, another name, a malformed tag) falls through to the
     /// scalar-identical slow path, so errors keep exact parity.
     fn end_event(&mut self, lt: usize) -> Result<PullEvent<'a>, XmlError> {
@@ -639,35 +627,35 @@ impl<'a> PullParser<'a> {
             return Err(self.err("expected an element name, found an end tag"));
         };
         self.event_start = lt;
-        let open_name = self.names.get(open);
-        let gt = lt + 2 + open_name.len();
-        if self.bytes.get(lt + 2..gt) == Some(open_name.as_bytes())
-            && self.bytes.get(gt) == Some(&b'>')
-        {
+        if let Some(after) = self.own_end_tag(lt, open) {
             self.stack.pop();
-            self.pos = gt + 1;
-            return Ok(PullEvent::End {
-                name: open_name,
-                id: open,
-            });
+            self.pos = after;
+            return Ok(PullEvent::End { name: open });
         }
         self.pos = lt + 2;
-        let close_name = self.name()?;
+        let close = self.name()?;
         self.skip_ws();
         if self.peek() != Some(b'>') {
             return Err(self.err("malformed end tag"));
         }
         self.pos += 1;
         self.stack.pop();
-        if open_name != close_name {
+        if open != close {
             return Err(self.err(&format!(
-                "mismatched end tag: expected </{open_name}>, found </{close_name}>"
+                "mismatched end tag: expected </{open}>, found </{close}>"
             )));
         }
-        Ok(PullEvent::End {
-            name: close_name,
-            id: open,
-        })
+        Ok(PullEvent::End { name: close })
+    }
+
+    /// The offset just past `</open>` when exactly that end tag starts at
+    /// `lt`.
+    fn own_end_tag(&self, lt: usize, open: &str) -> Option<usize> {
+        let gt = lt + 2 + open.len();
+        (self.bytes.get(lt..lt + 2) == Some(b"</")
+            && self.bytes.get(lt + 2..gt) == Some(open.as_bytes())
+            && self.bytes.get(gt) == Some(&b'>'))
+        .then_some(gt + 1)
     }
 
     /// The `<!DOCTYPE …>` declaration at `lt`.
@@ -746,6 +734,55 @@ impl<'a> PullParser<'a> {
                 Markup::StartTag => return self.start_event(lt).map(Some),
             }
         }
+    }
+
+    /// Passes the run of ASCII whitespace (`#x20 #x9 #xD #xA`) at the
+    /// cursor when the run ends at `<` or at the end of input, so the next
+    /// event is what follows it; otherwise leaves the parser unchanged.
+    ///
+    /// This is `next()` with a whitespace-only [`PullEvent::Text`] dropped:
+    /// a run that holds anything else, an entity reference or non-ASCII
+    /// whitespace such as U+00A0 included, still arrives whole as a `Text`
+    /// event. It acts only while an element is open and no event is queued.
+    pub fn skip_whitespace(&mut self) {
+        if self.queued.is_some() || self.stack.is_empty() || self.state != State::Active {
+            return;
+        }
+        let mut end = self.pos;
+        while self
+            .bytes
+            .get(end)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+        {
+            end += 1;
+        }
+        if self.bytes.get(end).is_none_or(|&b| b == b'<') {
+            self.pos = end;
+        }
+    }
+
+    /// The innermost open element's whole content, when it is one run with
+    /// no `&` and no `<` followed directly by the element's own end tag
+    /// `</name>`: both are consumed, the element is closed, and the run is
+    /// returned as a slice of the input (empty for `<a></a>`).
+    ///
+    /// This is `next()` returning `Text(run)` (no text when the run is
+    /// empty) and then the element's [`PullEvent::End`]. Otherwise —
+    /// entity references, CDATA, comments, PIs, child elements, a queued
+    /// `End` of a self-closing tag, `</name >`, the end of input — it
+    /// returns `None` and leaves the parser unchanged.
+    pub fn plain_content(&mut self) -> Option<&'a str> {
+        if self.queued.is_some() || self.state != State::Active {
+            return None;
+        }
+        let open = *self.stack.last()?;
+        let lt = scan::find_byte2(self.bytes, self.pos, b'<', b'&')?;
+        let after = self.own_end_tag(lt, open)?;
+        let content = &self.text[self.pos..lt];
+        self.stack.pop();
+        self.event_start = lt;
+        self.pos = after;
+        Some(content)
     }
 
     /// Skips the content and end tag of the innermost open element with one
@@ -854,93 +891,6 @@ pub(crate) fn is_name_char(b: u8) -> bool {
     NAME_CHAR[b as usize]
 }
 
-/// The lexer-level name interner: borrowed keys, dense ids, word-at-a-time
-/// hashing with open addressing. One (cheap) hash per name occurrence, one id
-/// thereafter — consumers resolve each *distinct* name against heavier
-/// structures (e.g. the schema [`Alphabet`](../../schemacast_regex/struct.Alphabet.html))
-/// exactly once.
-#[derive(Clone, Default)]
-pub(crate) struct NameTable<'a> {
-    names: Vec<&'a str>,
-    /// Open-addressing buckets holding `index + 1` (`0` = empty).
-    buckets: Vec<u32>,
-}
-
-impl<'a> NameTable<'a> {
-    pub(crate) fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    pub(crate) fn get(&self, id: NameId) -> &'a str {
-        self.names[id.index()]
-    }
-
-    pub(crate) fn intern(&mut self, name: &'a str) -> NameId {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; 16];
-        } else if (self.names.len() + 1) * 4 > self.buckets.len() * 3 {
-            self.grow();
-        }
-        let mask = self.buckets.len() - 1;
-        let mut slot = hash_name(name.as_bytes()) as usize & mask;
-        loop {
-            match self.buckets[slot] {
-                0 => {
-                    let id = NameId(self.names.len() as u32);
-                    self.names.push(name);
-                    self.buckets[slot] = id.0 + 1;
-                    return id;
-                }
-                occupied => {
-                    let idx = (occupied - 1) as usize;
-                    if self.names[idx] == name {
-                        return NameId(occupied - 1);
-                    }
-                    slot = (slot + 1) & mask;
-                }
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_len = self.buckets.len() * 2;
-        let mask = new_len - 1;
-        let mut buckets = vec![0u32; new_len];
-        for (idx, name) in self.names.iter().enumerate() {
-            let mut slot = hash_name(name.as_bytes()) as usize & mask;
-            while buckets[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            buckets[slot] = idx as u32 + 1;
-        }
-        self.buckets = buckets;
-    }
-}
-
-/// Hashes a name word-at-a-time: one load + multiply-mix per 8 bytes
-/// instead of a serially dependent multiply per byte (names are hashed on
-/// every start-tag occurrence, so this sits on the tokenizer hot path).
-fn hash_name(bytes: &[u8]) -> u64 {
-    const MIX: u64 = 0xff51_afd7_ed55_8ccd;
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15 ^ bytes.len() as u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in chunks.by_ref() {
-        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        h = (h ^ w).wrapping_mul(MIX);
-        h ^= h >> 29;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut w = 0u64;
-        for (i, &b) in rem.iter().enumerate() {
-            w |= u64::from(b) << (8 * i);
-        }
-        h = (h ^ w).wrapping_mul(MIX);
-        h ^= h >> 29;
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -987,29 +937,6 @@ mod tests {
             let r: Result<Vec<_>, _> = PullParser::new(bad).collect();
             assert!(r.is_err(), "should reject {bad:?}");
         }
-    }
-
-    #[test]
-    fn name_ids_are_dense_and_stable() {
-        let mut p = PullParser::new("<a><b/><b/><a/></a>");
-        let mut ids = Vec::new();
-        for ev in p.by_ref() {
-            if let PullEvent::Start { name, id, .. } = ev.expect("ok") {
-                ids.push((name, id));
-            }
-        }
-        assert_eq!(
-            ids,
-            vec![
-                ("a", NameId(0)),
-                ("b", NameId(1)),
-                ("b", NameId(1)),
-                ("a", NameId(0)),
-            ]
-        );
-        assert_eq!(p.name_count(), 2);
-        assert_eq!(p.name_of(NameId(0)), "a");
-        assert_eq!(p.name_of(NameId(1)), "b");
     }
 
     #[test]

@@ -10,13 +10,19 @@
 //! shared chunked [`crate::scan`] kernels, so the two implementations also
 //! share one "find the next interesting byte" implementation.
 //!
+//! Its open-element stack holds name slices, as the production parser's
+//! does, and it shares the production parser's duplicate-attribute check
+//! (one sort of a tag's names), so the two report the same first repeat
+//! at the same offset. The production parser's two validator steps
+//! (`skip_whitespace`, `plain_content`) have no counterpart here: they are
+//! held to the production parser's own event stream instead
+//! (`tests/zero_copy.rs`).
+//!
 //! It is *not* used by the validation paths; new consumers want
 //! [`crate::PullParser`].
 
 use crate::error::XmlError;
-use crate::pull::{
-    err_at, is_name_char, is_name_start, Attrs, NameId, NameTable, PullEvent, SubtreeSkip,
-};
+use crate::pull::{err_at, is_name_char, is_name_start, Attrs, PullEvent, SubtreeSkip};
 use crate::scan;
 use std::borrow::Cow;
 
@@ -30,8 +36,8 @@ pub struct ScalarParser<'a> {
     pos: usize,
     /// Byte offset of the markup (or text run) of the last event returned.
     event_start: usize,
-    stack: Vec<NameId>,
-    names: NameTable<'a>,
+    /// The names of the open elements, as slices of the input.
+    stack: Vec<&'a str>,
     state: State,
     /// Queued event (self-closing tags emit two events).
     queued: Option<PullEvent<'a>>,
@@ -56,7 +62,6 @@ impl<'a> ScalarParser<'a> {
             pos: 0,
             event_start: 0,
             stack: Vec::new(),
-            names: NameTable::default(),
             state: State::Prolog,
             queued: None,
             seen_root: false,
@@ -77,19 +82,6 @@ impl<'a> ScalarParser<'a> {
     /// run) began.
     pub fn last_event_offset(&self) -> usize {
         self.event_start
-    }
-
-    /// Number of distinct element names interned so far.
-    pub fn name_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// The string for an interned name id.
-    ///
-    /// # Panics
-    /// Panics if `id` did not come from this parser.
-    pub fn name_of(&self, id: NameId) -> &'a str {
-        self.names.get(id)
     }
 
     fn err(&self, message: &str) -> XmlError {
@@ -293,26 +285,21 @@ impl<'a> ScalarParser<'a> {
                     self.event_start = self.pos;
                     self.pos += 2;
                     let close_name = self.name()?;
-                    let close = self.names.intern(close_name);
                     self.skip_ws();
                     if self.peek() != Some(b'>') {
                         return Err(self.err("malformed end tag"));
                     }
                     self.pos += 1;
                     match self.stack.pop() {
-                        Some(open) if open == close => {}
+                        Some(open) if open == close_name => {}
                         Some(open) => {
                             return Err(self.err(&format!(
-                                "mismatched end tag: expected </{}>, found </{close_name}>",
-                                self.names.get(open)
+                                "mismatched end tag: expected </{open}>, found </{close_name}>"
                             )))
                         }
                         None => return Err(self.err("end tag with no open element")),
                     }
-                    Ok(Some(PullEvent::End {
-                        name: close_name,
-                        id: close,
-                    }))
+                    Ok(Some(PullEvent::End { name: close_name }))
                 } else if self.starts_with("<![CDATA[") {
                     if self.stack.is_empty() {
                         return Err(self.err("character data outside the root element"));
@@ -336,57 +323,21 @@ impl<'a> ScalarParser<'a> {
                     self.event_start = self.pos;
                     self.pos += 1;
                     let name = self.name()?;
-                    let id = self.names.intern(name);
                     // Validate-and-count pass mirroring the production lexer:
                     // attributes are checked in place and handed out as a
-                    // lazy `Attrs` view over the validated span.
+                    // lazy `Attrs` view over the validated span, and the
+                    // duplicate check runs once all of them are lexed.
                     let attr_start = self.pos;
                     let mut count = 0usize;
-                    loop {
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b'/') => {
-                                if !self.starts_with("/>") {
-                                    return Err(self.err("malformed empty-element tag"));
-                                }
-                                let attributes = Attrs::from_span(self.text, attr_start, count);
-                                self.pos += 2;
-                                self.queued = Some(PullEvent::End { name, id });
-                                return Ok(Some(PullEvent::Start {
-                                    name,
-                                    id,
-                                    attributes,
-                                }));
-                            }
-                            Some(b'>') => {
-                                let attributes = Attrs::from_span(self.text, attr_start, count);
-                                self.pos += 1;
-                                self.stack.push(id);
-                                return Ok(Some(PullEvent::Start {
-                                    name,
-                                    id,
-                                    attributes,
-                                }));
-                            }
-                            Some(b) if is_name_start(b) => {
-                                let attr = self.name()?;
-                                self.skip_ws();
-                                if self.peek() != Some(b'=') {
-                                    return Err(self.err("expected '=' after attribute name"));
-                                }
-                                self.pos += 1;
-                                self.skip_ws();
-                                self.attribute_value()?;
-                                if Attrs::from_span(self.text, attr_start, count)
-                                    .names_contain(attr)
-                                {
-                                    return Err(self.err(&format!("duplicate attribute {attr:?}")));
-                                }
-                                count += 1;
-                            }
-                            _ => return Err(self.err("malformed start tag")),
-                        }
+                    let closed = self.attributes(&mut count);
+                    let attributes = Attrs::from_span(self.text, attr_start, count);
+                    attributes.check_duplicates()?;
+                    if closed? {
+                        self.queued = Some(PullEvent::End { name });
+                    } else {
+                        self.stack.push(name);
                     }
+                    Ok(Some(PullEvent::Start { name, attributes }))
                 }
             }
             Some(_) => {
@@ -398,6 +349,40 @@ impl<'a> ScalarParser<'a> {
                 self.event_start = self.pos;
                 let text = self.text_run()?;
                 Ok(Some(PullEvent::Text(text)))
+            }
+        }
+    }
+
+    /// Lexes the attributes at the cursor through the tag's `/>` or `>`,
+    /// counting each one whose value was read. Returns whether the tag
+    /// closed itself.
+    fn attributes(&mut self, count: &mut usize) -> Result<bool, XmlError> {
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'/') => {
+                    if !self.starts_with("/>") {
+                        return Err(self.err("malformed empty-element tag"));
+                    }
+                    self.pos += 2;
+                    return Ok(true);
+                }
+                Some(b'>') => {
+                    self.pos += 1;
+                    return Ok(false);
+                }
+                Some(b) if is_name_start(b) => {
+                    self.name()?;
+                    self.skip_ws();
+                    if self.peek() != Some(b'=') {
+                        return Err(self.err("expected '=' after attribute name"));
+                    }
+                    self.pos += 1;
+                    self.skip_ws();
+                    self.attribute_value()?;
+                    *count += 1;
+                }
+                _ => return Err(self.err("malformed start tag")),
             }
         }
     }

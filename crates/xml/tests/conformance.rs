@@ -3,7 +3,8 @@
 //! error message must mention. Both the DOM and the pull parser are run on
 //! every case and must agree.
 
-use schemacast_xml::{parse_document, PullEvent, PullParser};
+use schemacast_xml::{parse_document, PullEvent, PullParser, ScalarParser};
+use std::time::{Duration, Instant};
 
 struct Accept {
     input: &'static str,
@@ -225,4 +226,79 @@ fn deeply_nested_documents_parse_iteratively() {
     }
     let events: Result<Vec<_>, _> = PullParser::new(&input).collect();
     assert_eq!(events.expect("parses").len(), 100_001);
+}
+
+/// A start tag with 50,000 distinct attributes. The duplicate check sorts
+/// the names once per tag instead of rescanning every earlier attribute
+/// for each new one, which took seconds at a few thousand attributes and
+/// minutes at this count; the bound below is generous for the sort. With
+/// one repeat appended, both lexers report the same error.
+#[test]
+fn a_tag_with_50_000_attributes_lexes_without_quadratic_rescans() {
+    const N: usize = 50_000;
+    let mut tag = String::from("<a");
+    for i in 0..N {
+        tag.push_str(&format!(" k{i}=\"v\""));
+    }
+    let distinct = format!("{tag}/>");
+    let started = Instant::now();
+    let pull: Vec<_> = PullParser::new(&distinct).collect();
+    let scalar: Vec<_> = ScalarParser::new(&distinct).collect();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "lexing {N} distinct attributes twice took {elapsed:?}"
+    );
+    match &pull[..] {
+        [Ok(PullEvent::Start { attributes, .. }), Ok(PullEvent::End { .. })] => {
+            assert_eq!(attributes.len(), N);
+        }
+        other => panic!("expected one self-closing tag, got {} events", other.len()),
+    }
+    assert_eq!(pull, scalar);
+
+    let repeated = format!("{tag} k{}=\"w\"/>", N / 2);
+    let pull: Vec<_> = PullParser::new(&repeated).collect();
+    let scalar: Vec<_> = ScalarParser::new(&repeated).collect();
+    assert_eq!(pull, scalar);
+    let [Err(e)] = &pull[..] else {
+        panic!("expected one error, got {} items", pull.len());
+    };
+    assert_eq!(e.message, format!("duplicate attribute \"k{}\"", N / 2));
+    // Reported just past the repeated attribute's closing quote.
+    assert_eq!(e.offset, repeated.len() - "/>".len());
+}
+
+/// The duplicate check runs once a tag's attributes are lexed, yet reports
+/// what a check after every attribute would: the first repeat in document
+/// order wins over later repeats and over a syntax error after it.
+#[test]
+fn the_first_repeated_attribute_is_reported() {
+    for (input, offset, message) in [
+        (
+            "<a x='1' y='2' x='3' y='4'/>",
+            20,
+            "duplicate attribute \"x\"",
+        ),
+        (
+            "<a y='1' x='2' x='3' y='4'/>",
+            20,
+            "duplicate attribute \"x\"",
+        ),
+        ("<a x='1' x='2' y=3/>", 14, "duplicate attribute \"x\""),
+        ("<a x='1' y='2' x='3'", 20, "duplicate attribute \"x\""),
+        ("<a x='1' x=2/>", 11, "expected quoted attribute value"),
+    ] {
+        let pull: Vec<_> = PullParser::new(input).collect();
+        let scalar: Vec<_> = ScalarParser::new(input).collect();
+        assert_eq!(pull, scalar, "{input:?}");
+        let Some(Err(e)) = pull.last() else {
+            panic!("{input:?} should be rejected");
+        };
+        assert_eq!(
+            (e.offset, e.message.as_str()),
+            (offset, message),
+            "{input:?}"
+        );
+    }
 }

@@ -17,11 +17,18 @@
 //!    afterwards — including documents with `]]>` inside text, `>` and `/`
 //!    inside attribute values, and comments/CDATA containing `<child>`
 //!    markup.
+//! 3. **Step oracle**: the two steps a validator drives the cursor with
+//!    are the event stream with events dropped. Forked at any start tag,
+//!    `plain_content()` returning `Some(t)` is `Text(t)` and the element's
+//!    `End`, and `None` changes nothing; forked after any event,
+//!    `skip_whitespace()` then `next()` is `next()` with a whitespace-only
+//!    run dropped.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use schemacast_xml::pull::{PullEvent, PullParser, SubtreeSkip};
+use schemacast_xml::XmlError;
 use std::borrow::Cow;
 
 /// Whether `needle`'s bytes lie inside `haystack`'s buffer.
@@ -237,10 +244,7 @@ fn check_skip_oracle(input: &str) {
             );
         }
 
-        // The two forks must agree on everything that follows. Compare
-        // modulo `NameId`: ids are parser-local dense indices, and the
-        // lexical fork legitimately never interned names that only occur
-        // inside the skipped subtree.
+        // The two forks must agree on everything that follows.
         let tail_lexical: Vec<_> = lexical
             .collect::<Result<Vec<_>, _>>()
             .expect("well-formed tail");
@@ -436,4 +440,182 @@ fn skip_contract_on_input_malformed_inside_the_skipped_element() {
     for (what, input, want) in cases {
         assert_eq!(&skip_first_s(input), want, "{what}: {input:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// 4. Step oracle: the validator's cursor steps ≡ events with some dropped.
+// ---------------------------------------------------------------------------
+
+/// How often each step acted on one input.
+#[derive(Default)]
+struct StepsTaken {
+    plain_content: usize,
+    whitespace_passed: usize,
+}
+
+/// Whether `event`, lexed from the cursor at `at`, is a raw run of ASCII
+/// whitespace there — the only text `skip_whitespace` may pass (a CDATA
+/// section or an entity reference that yields whitespace is not).
+fn is_raw_whitespace_run(
+    input: &str,
+    at: usize,
+    event: Option<&Result<PullEvent<'_>, XmlError>>,
+) -> bool {
+    match event {
+        Some(Ok(PullEvent::Text(Cow::Borrowed(t)))) => {
+            t.as_ptr() == input[at..].as_ptr()
+                && t.bytes().all(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+        }
+        _ => false,
+    }
+}
+
+/// Forks `parser` and holds `skip_whitespace()` then `next()` to `next()`
+/// with a raw whitespace run dropped: same event or error, same offset.
+fn check_whitespace_step(input: &str, parser: &PullParser<'_>, taken: &mut StepsTaken) {
+    let mut stepped = parser.clone();
+    let mut events = parser.clone();
+    let before = events.offset();
+    stepped.skip_whitespace();
+    if stepped.offset() != before {
+        taken.whitespace_passed += 1;
+    }
+    let got = stepped.next();
+    let mut want = events.next();
+    if is_raw_whitespace_run(input, before, want.as_ref()) {
+        want = events.next();
+    }
+    assert_eq!(got, want, "whitespace step at {before} in {input:?}");
+    assert_eq!(
+        stepped.offset(),
+        events.offset(),
+        "offset after the whitespace step"
+    );
+    assert_eq!(stepped.depth(), events.depth());
+}
+
+/// Forks `parser` just after the start tag of `name` and holds
+/// `plain_content()` to the event stream: `Some(t)` is `Text(t)` (no text
+/// when `t` is empty) and then `End { name }`, landing at the same offset
+/// and depth; `None` leaves the offset and the next event unchanged.
+fn check_plain_content_step(
+    input: &str,
+    parser: &PullParser<'_>,
+    name: &str,
+    taken: &mut StepsTaken,
+) {
+    let mut stepped = parser.clone();
+    let mut events = parser.clone();
+    let before = stepped.offset();
+    match stepped.plain_content() {
+        Some(t) => {
+            taken.plain_content += 1;
+            assert!(is_subslice(input, t), "plain content {t:?} is borrowed");
+            if !t.is_empty() {
+                assert_eq!(
+                    events.next(),
+                    Some(Ok(PullEvent::Text(Cow::Borrowed(t)))),
+                    "text of <{name}> at {before} in {input:?}"
+                );
+            }
+            assert_eq!(
+                events.next(),
+                Some(Ok(PullEvent::End { name })),
+                "end of <{name}> at {before} in {input:?}"
+            );
+            assert_eq!(stepped.offset(), events.offset(), "offset after <{name}>");
+            assert_eq!(stepped.depth(), events.depth(), "depth after <{name}>");
+            assert_eq!(stepped.last_event_offset(), events.last_event_offset());
+        }
+        None => assert_eq!(stepped.offset(), before, "a declined step moved the cursor"),
+    }
+    assert_eq!(
+        stepped.next(),
+        events.next(),
+        "next event after <{name}> in {input:?}"
+    );
+}
+
+/// Runs both step checks over `input`: the whitespace step after every
+/// event, the plain-content step at every start tag.
+fn check_step_oracle(input: &str) -> StepsTaken {
+    let mut taken = StepsTaken::default();
+    let mut parser = PullParser::new(input);
+    loop {
+        check_whitespace_step(input, &parser, &mut taken);
+        let Some(Ok(event)) = parser.next() else {
+            break;
+        };
+        if let PullEvent::Start { name, .. } = event {
+            check_plain_content_step(input, &parser, name, &mut taken);
+        }
+    }
+    taken
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn validator_steps_match_the_event_stream(seed in 0u64..100_000) {
+        let input = gen_document(seed);
+        check_step_oracle(&input);
+        // The same document with whitespace after every `>`: runs between
+        // tags for the whitespace step, and values it must not touch.
+        check_step_oracle(&input.replace('>', ">\n  "));
+    }
+}
+
+#[test]
+fn validator_steps_on_handcrafted_runs() {
+    // (input, plain-content steps taken, whitespace runs passed)
+    for (input, plain, passed) in [
+        ("<r><a>1</a><b></b><c>  </c></r>", 3, 1),
+        // Runs after a comment or PI arrive from the `next()` that passes
+        // the markup, so only the three runs at the cursor are passed.
+        ("<r>\n  <a>1</a>\n  <!-- c -->\n  <?pi?> <b/>\n</r>", 1, 3),
+        // Entity references, CDATA, comments and PIs inside a value, a
+        // self-closing element, and an end tag with a space are declined.
+        (
+            "<r><a>1&#50;</a><a><![CDATA[2]]></a><a>1<!---->2</a></r>",
+            0,
+            0,
+        ),
+        ("<r><a>1<?pi?></a><a/><a>3</a ></r>", 0, 0),
+        // Whitespace runs holding an entity or non-ASCII whitespace arrive
+        // whole as text; only the pure ASCII run before `<` is passed.
+        ("<r> &#32; <a/>\u{a0} <a/> \u{3000}<a/>\t\r\n<a/></r>", 0, 1),
+        // A run of whitespace that ends at the end of input is passed too;
+        // the next event is the same error either way.
+        ("<r><a>x</a>  ", 1, 1),
+        ("<r><a>x</b></r>", 0, 0),
+    ] {
+        let taken = check_step_oracle(input);
+        assert_eq!(
+            (taken.plain_content, taken.whitespace_passed),
+            (plain, passed),
+            "{input:?}"
+        );
+    }
+}
+
+/// Anti-vacuity: over generated documents both steps act, so the
+/// property above compares something.
+#[test]
+fn validator_steps_act_on_generated_documents() {
+    let mut taken = StepsTaken::default();
+    for seed in 0..64 {
+        let input = gen_document(seed).replace('>', ">\n  ");
+        let t = check_step_oracle(&input);
+        taken.plain_content += t.plain_content;
+        taken.whitespace_passed += t.whitespace_passed;
+    }
+    let plain: usize = (0..64)
+        .map(|seed| check_step_oracle(&gen_document(seed)).plain_content)
+        .sum();
+    assert!(
+        plain > 0,
+        "no plain-content step was taken on compact documents"
+    );
+    assert!(taken.whitespace_passed > 0, "no whitespace run was passed");
 }

@@ -9,7 +9,7 @@
 //! | id     | name               | invariant |
 //! |--------|--------------------|-----------|
 //! | SL0001 | panic-ratchet      | unwrap/expect in library code may only shrink |
-//! | SL0002 | hot-path-collections | no `HashMap`/`HashSet` in streaming hot-path modules or the relation-fixpoint kernels |
+//! | SL0002 | hot-path-collections | no `HashMap`/`HashSet` in streaming hot-path modules (validator, lexer, label table) or the relation-fixpoint kernels |
 //! | SL0003 | unsafe-gate        | every crate root carries `#![deny(unsafe_code)]` |
 //! | SL0004 | std-sync-ban       | shim-migrated crates use `loomlite::{sync,thread}`, never `std::{sync,thread}` |
 //! | SL0005 | ordering-justify   | every non-SeqCst atomic ordering carries a nearby `// ordering:` comment |
@@ -23,13 +23,15 @@ use std::collections::BTreeMap;
 
 /// File names (anywhere under `crates/*/src`) whose bodies may not name
 /// a hashed collection: SipHash per lookup is exactly the per-event cost
-/// the streaming hot path and its lexer (`pull.rs`) exist to avoid, and
+/// the streaming hot path, its lexer (`pull.rs`) and the context's label
+/// table that resolves its start tags (`labels.rs`) exist to avoid, and
 /// the per-type-pair walks of the `R_sub`/`R_nondis` fixpoints
 /// (`checks.rs`, `relations.rs`) keep their visited sets and indexes dense
 /// for the same reason.
 const HOT_PATH_FILES: &[&str] = &[
     "stream.rs",
     "pull.rs",
+    "labels.rs",
     "hot.rs",
     "index.rs",
     "checks.rs",
@@ -672,6 +674,7 @@ mod tests {
     fn sl0002_fires_only_in_hot_path_files() {
         for path in [
             "crates/core/src/stream.rs",
+            "crates/core/src/labels.rs",
             "crates/automata/src/checks.rs",
             "crates/core/src/relations.rs",
         ] {
