@@ -60,10 +60,11 @@ fn random_edit(doc: &Doc, ab: &Alphabet, rng: &mut SmallRng) -> Option<Edit> {
 }
 
 /// The dynamic path alone, as `validate_edited` runs it for scripts no
-/// static tier decides: apply the script to a copy, then run the
-/// schema-cast-with-modifications validator over the Δ-encoded result.
+/// static tier decides: apply the script as an overlay on the document,
+/// then run the schema-cast-with-modifications validator over the
+/// Δ-encoded result.
 fn dynamic_path(ctx: &CastContext<'_>, doc: &Doc, edits: &[Edit]) -> ItemOutcome {
-    let mut dd = DeltaDoc::new(doc.clone());
+    let mut dd = DeltaDoc::new(doc);
     if let Err(e) = dd.apply_all(edits) {
         return ItemOutcome::EditFailed(e.to_string());
     }
@@ -135,7 +136,7 @@ proptest! {
             }
             // A decided verdict implies the analyzer vouched for the edit's
             // applicability: applying it must succeed.
-            let mut dd = DeltaDoc::new(doc.clone());
+            let mut dd = DeltaDoc::new(&doc);
             prop_assert!(
                 dd.apply(&edit).is_ok(),
                 "decided verdict {verdict:?} for inapplicable edit {edit:?}"

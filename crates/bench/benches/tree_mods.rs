@@ -25,12 +25,12 @@ fn bench(c: &mut Criterion) {
             .1;
 
         // One value edit deep inside the document.
-        let mut dd = DeltaDoc::new(base.clone());
-        let root = dd.doc().root();
-        let items = dd.doc().children(root)[2];
-        let mid_item = dd.doc().children(items)[n / 2];
-        let qty = dd.doc().children(mid_item)[1];
-        let qty_text = dd.doc().children(qty)[0];
+        let mut dd = DeltaDoc::new(base);
+        let root = dd.root();
+        let items = dd.children(root)[2];
+        let mid_item = dd.children(items)[n / 2];
+        let qty = dd.children(mid_item)[1];
+        let qty_text = dd.children(qty)[0];
         dd.apply(&Edit::SetText {
             node: qty_text,
             text: "7".into(),

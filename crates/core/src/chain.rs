@@ -41,6 +41,7 @@ use schemacast_certify::{
 use schemacast_regex::Alphabet;
 use schemacast_schema::{AbstractSchema, TypeId};
 use schemacast_tree::{DeltaDoc, Doc, Edit};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -283,11 +284,13 @@ impl<'a> SchemaChain<'a> {
             self.hop_count(),
             "one edit batch per hop required"
         );
-        let mut current = doc.clone();
+        // Each hop's overlay borrows the document the previous hop
+        // committed; the first borrows `doc`.
+        let mut current = Cow::Borrowed(doc);
         let mut hops = Vec::with_capacity(self.hops.len());
         let mut breaking_hop = None;
         for (i, (ctx, edits)) in self.hops.iter().zip(scripts).enumerate() {
-            let mut dd = DeltaDoc::new(current.clone());
+            let mut dd = DeltaDoc::new(&*current);
             if let Err(e) = dd.apply_all(edits) {
                 hops.push(HopReport {
                     hop: i,
@@ -318,7 +321,7 @@ impl<'a> SchemaChain<'a> {
                 breaking_hop = Some(i);
                 break;
             }
-            current = dd.committed();
+            current = Cow::Owned(dd.committed());
         }
         ChainScriptReport { hops, breaking_hop }
     }

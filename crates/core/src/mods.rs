@@ -1,12 +1,15 @@
 //! Schema-cast validation *with* modifications (§3.3).
 //!
 //! Validates a Δ-encoded edited tree `T'` against the target schema,
-//! exploiting (a) the `modified(v)` trie to fall back to the plain cast
-//! algorithm on untouched subtrees, and (b) the string
-//! revalidation-with-modifications machinery of §4.3 for the content models
-//! of nodes whose child lists changed: the changed region is scanned with
-//! `b_immed` and the unchanged remainder with the product IDA, entering at
-//! the state pair obtained from the old and new prefixes (Prop. 2).
+//! reading it through the [`DeltaDoc`] overlay on the original `T`, and
+//! exploiting (a) the `modified(v)` trie to hand each untouched subtree to
+//! the plain cast walk, which runs on the base document itself, and (b)
+//! the string revalidation-with-modifications machinery of §4.3 for the
+//! content models of nodes whose child lists changed: the changed region
+//! is scanned with `b_immed` and the unchanged remainder with the product
+//! IDA, entering at the state pair obtained from the old and new prefixes
+//! (Prop. 2). An inserted subtree has no source typing; its nodes take the
+//! changed-node step with no source type, which is full validation.
 
 use crate::cast::{CastContext, Walk};
 use crate::stats::{CastOutcome, ValidationStats};
@@ -30,14 +33,14 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
     /// Decides whether the edited document is valid with respect to the
     /// target schema, given that the *original* document was valid with
     /// respect to the source schema.
-    pub fn validate(&self, dd: &DeltaDoc) -> CastOutcome {
+    pub fn validate(&self, dd: &DeltaDoc<'_>) -> CastOutcome {
         self.validate_with_stats(dd).0
     }
 
     /// Like [`ModsValidator::validate`], with cost counters.
-    pub fn validate_with_stats(&self, dd: &DeltaDoc) -> (CastOutcome, ValidationStats) {
+    pub fn validate_with_stats(&self, dd: &DeltaDoc<'_>) -> (CastOutcome, ValidationStats) {
         let mut stats = ValidationStats::default();
-        let root = dd.doc().root();
+        let root = dd.root();
         let Some(ProjLabel::Elem(new_label)) = dd.proj_new(root) else {
             return (CastOutcome::Invalid, stats);
         };
@@ -57,39 +60,48 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
     /// consumes call-stack frames.
     fn validate_tree(
         &self,
-        dd: &DeltaDoc,
+        dd: &DeltaDoc<'_>,
         src: Option<TypeId>,
         tgt: TypeId,
         stats: &mut ValidationStats,
     ) -> bool {
-        let doc = dd.doc();
         let walk = Walk::cast(self.ctx);
-        let mut work = vec![(doc.root(), src, tgt, dd.trie().cursor())];
+        let mut work = vec![(dd.root(), src, tgt, dd.trie().cursor())];
         let mut new_labels: Vec<Sym> = Vec::new();
         let mut old_labels: Vec<Sym> = Vec::new();
         while let Some((node, src, tgt, cursor)) = work.pop() {
-            // Case 3, an inserted subtree (no source typing, so validated
-            // in full), and case 1, an untouched subtree (a plain §3.2
-            // cast): both are the tree walk.
-            if matches!(dd.delta(node), DeltaState::Inserted) || !cursor.subtree_modified() {
-                if walk.run(doc, node, src, tgt, stats).is_err() {
+            let inserted = matches!(dd.delta(node), DeltaState::Inserted);
+            // Case 1, an untouched subtree: a plain §3.2 cast, which the
+            // tree walk runs on the base document itself.
+            if !inserted && !cursor.subtree_modified() {
+                if walk.run(dd.base(), node, src, tgt, stats).is_err() {
                     return false;
                 }
                 continue;
             }
             // Case 4: node present in both versions, but its label or
-            // content (or something below) changed.
+            // content (or something below) changed. Case 3, an inserted
+            // subtree, holds only inserted nodes, which have no source
+            // type: each takes this step as the walk would with none (the
+            // value check, the target DFA, typing the children), and the
+            // subtree's root counts one full validation, as the walk does.
             stats.nodes_visited += 1;
+            stats.full_validations += usize::from(
+                inserted
+                    && dd
+                        .parent(node)
+                        .is_some_and(|p| !matches!(dd.delta(p), DeltaState::Inserted)),
+            );
             let c_tgt = match self.ctx.target().type_def(tgt) {
                 TypeDef::Simple(simple) => {
                     stats.value_checks += 1;
                     // New-view children, ignoring ignorable whitespace.
-                    let mut live = dd.new_children(node).filter(|&c| !doc.is_ignorable_ws(c));
+                    let mut live = dd.new_children(node).filter(|&c| !dd.is_ignorable_ws(c));
                     let ok = match (live.next(), live.next()) {
                         (None, _) => simple.validate(""),
                         (Some(only), None) => {
                             stats.nodes_visited += 1;
-                            doc.text(only).is_some_and(|text| simple.validate(text))
+                            dd.text(only).is_some_and(|text| simple.validate(text))
                         }
                         (Some(_), Some(_)) => false,
                     };
@@ -103,7 +115,7 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
             // Proj_new over the live children.
             new_labels.clear();
             for c in dd.new_children(node) {
-                if doc.is_ignorable_ws(c) {
+                if dd.is_ignorable_ws(c) {
                     continue;
                 }
                 match dd.proj_new(c) {
@@ -136,17 +148,17 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
             }
             // Push the live children, navigating the trie by each child's
             // index in the *full* child list (Dewey coordinates).
-            let live = doc.children(node).iter().enumerate().filter(|&(_, &c)| {
-                !matches!(dd.delta(c), DeltaState::Deleted) && !doc.is_ignorable_ws(c)
+            let live = dd.children(node).iter().enumerate().filter(|&(_, &c)| {
+                !matches!(dd.delta(c), DeltaState::Deleted) && !dd.is_ignorable_ws(c)
             });
             let base = work.len();
             for ((full_idx, &c), &label) in live.zip(&new_labels) {
-                let Some(child_tgt) = c_tgt.child_type(label) else {
+                let Some(child_tgt) = c_tgt.child_type_dense(label) else {
                     return false;
                 };
                 let child_src = match dd.proj_old(c) {
                     Some(ProjLabel::Elem(old_label)) => {
-                        src_complex.and_then(|sc| sc.child_type(old_label))
+                        src_complex.and_then(|sc| sc.child_type_dense(old_label))
                     }
                     _ => None,
                 };
@@ -160,10 +172,10 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
 
 /// `Proj_old` over `node`'s children, ignorable whitespace aside, into
 /// `word`; `false` if one of them was character data.
-fn old_word(dd: &DeltaDoc, node: NodeId, word: &mut Vec<Sym>) -> bool {
+fn old_word(dd: &DeltaDoc<'_>, node: NodeId, word: &mut Vec<Sym>) -> bool {
     word.clear();
     for c in dd.old_children(node) {
-        if dd.doc().is_ignorable_ws(c) {
+        if dd.is_ignorable_ws(c) {
             continue;
         }
         match dd.proj_old(c) {
@@ -254,7 +266,7 @@ mod tests {
     }
 
     /// Ground truth: materialize the edited doc and validate fully.
-    fn oracle(f: &Fx, dd: &DeltaDoc) -> bool {
+    fn oracle(f: &Fx, dd: &DeltaDoc<'_>) -> bool {
         f.target.accepts_document(&dd.committed())
     }
 
@@ -288,21 +300,21 @@ mod tests {
         assert!(!mv.validate(&dd).is_valid());
 
         // Insert billTo (with its children) after shipTo.
-        let root = dd.doc().root();
+        let root = dd.root();
         dd.apply(&Edit::InsertElement {
             parent: root,
             position: 1,
             label: bill,
         })
         .unwrap();
-        let bill_node = dd.doc().children(root)[1];
+        let bill_node = dd.children(root)[1];
         dd.apply(&Edit::InsertElement {
             parent: bill_node,
             position: 0,
             label: name,
         })
         .unwrap();
-        let name_node = dd.doc().children(bill_node)[0];
+        let name_node = dd.children(bill_node)[0];
         dd.apply(&Edit::InsertText {
             parent: name_node,
             position: 0,
@@ -315,7 +327,7 @@ mod tests {
             label: city,
         })
         .unwrap();
-        let city_node = dd.doc().children(bill_node)[1];
+        let city_node = dd.children(bill_node)[1];
         dd.apply(&Edit::InsertText {
             parent: city_node,
             position: 0,
@@ -328,7 +340,7 @@ mod tests {
         assert!(oracle(&f, &dd));
         // The untouched items subtree was never entered: far fewer visits
         // than nodes.
-        assert!(stats.nodes_visited < dd.doc().node_count() / 2);
+        assert!(stats.nodes_visited < dd.node_count() / 2);
     }
 
     #[test]
@@ -339,11 +351,11 @@ mod tests {
         let mv = ModsValidator::new(&ctx);
         let mut dd = DeltaDoc::new(d);
         // Delete the qty leaf of item 1.
-        let root = dd.doc().root();
-        let items = dd.doc().children(root)[2];
-        let item1 = dd.doc().children(items)[1];
-        let qty = dd.doc().children(item1)[1];
-        let qty_text = dd.doc().children(qty)[0];
+        let root = dd.root();
+        let items = dd.children(root)[2];
+        let item1 = dd.children(items)[1];
+        let qty = dd.children(item1)[1];
+        let qty_text = dd.children(qty)[0];
         dd.apply(&Edit::DeleteLeaf { node: qty_text }).unwrap();
         dd.apply(&Edit::DeleteLeaf { node: qty }).unwrap();
         assert!(!mv.validate(&dd).is_valid());
@@ -358,12 +370,12 @@ mod tests {
         let mv = ModsValidator::new(&ctx);
 
         // Edit a qty value: stays valid (Text type).
-        let mut dd = DeltaDoc::new(d.clone());
-        let root = dd.doc().root();
-        let items = dd.doc().children(root)[2];
-        let item0 = dd.doc().children(items)[0];
-        let qty = dd.doc().children(item0)[1];
-        let t = dd.doc().children(qty)[0];
+        let mut dd = DeltaDoc::new(&d);
+        let root = dd.root();
+        let items = dd.children(root)[2];
+        let item0 = dd.children(items)[0];
+        let qty = dd.children(item0)[1];
+        let t = dd.children(qty)[0];
         dd.apply(&Edit::SetText {
             node: t,
             text: "999".into(),
@@ -374,9 +386,9 @@ mod tests {
 
         // Relabel an item to an unknown label: invalid.
         let mut dd2 = DeltaDoc::new(d);
-        let root = dd2.doc().root();
-        let items = dd2.doc().children(root)[2];
-        let item0 = dd2.doc().children(items)[0];
+        let root = dd2.root();
+        let items = dd2.children(root)[2];
+        let item0 = dd2.children(items)[0];
         let bogus = f.ab.intern("bogus");
         dd2.apply(&Edit::Relabel {
             node: item0,
@@ -394,20 +406,20 @@ mod tests {
         let ctx = CastContext::new(&f.source, &f.target, &f.ab);
         let mv = ModsValidator::new(&ctx);
         let mut dd = DeltaDoc::new(d);
-        let root = dd.doc().root();
-        let items = dd.doc().children(root)[2];
+        let root = dd.root();
+        let items = dd.children(root)[2];
         let item = f.ab.lookup("item").unwrap();
         let sku = f.ab.lookup("sku").unwrap();
         let qty = f.ab.lookup("qty").unwrap();
         // Append one item subtree at the end.
-        let pos = dd.doc().children(items).len();
+        let pos = dd.children(items).len();
         dd.apply(&Edit::InsertElement {
             parent: items,
             position: pos,
             label: item,
         })
         .unwrap();
-        let new_item = dd.doc().children(items)[pos];
+        let new_item = dd.children(items)[pos];
         for (i, l) in [(0usize, sku), (1, qty)] {
             dd.apply(&Edit::InsertElement {
                 parent: new_item,
@@ -415,7 +427,7 @@ mod tests {
                 label: l,
             })
             .unwrap();
-            let e = dd.doc().children(new_item)[i];
+            let e = dd.children(new_item)[i];
             dd.apply(&Edit::InsertText {
                 parent: e,
                 position: 0,
@@ -487,7 +499,7 @@ mod tests {
             ]
         };
         for (i, script) in scripts.iter().enumerate() {
-            let mut dd = DeltaDoc::new(base.clone());
+            let mut dd = DeltaDoc::new(&base);
             dd.apply_all(script).unwrap();
             let got = mv.validate(&dd).is_valid();
             let want = oracle(&f, &dd);

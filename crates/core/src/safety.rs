@@ -792,7 +792,7 @@ mod tests {
         assert_eq!(stats.static_skips, 1);
         assert_eq!(stats.static_rejects, 0);
         // Oracle: apply and fully validate.
-        let mut dd = DeltaDoc::new(doc.clone());
+        let mut dd = DeltaDoc::new(&doc);
         dd.apply_all(&edits).unwrap();
         assert!(target.accepts_document(&dd.committed()));
     }
@@ -817,7 +817,7 @@ mod tests {
         assert!(!outcome.is_valid());
         assert_eq!(stats.static_rejects, 1);
         // Oracle agrees.
-        let mut dd = DeltaDoc::new(doc.clone());
+        let mut dd = DeltaDoc::new(&doc);
         dd.apply_all(&edits).unwrap();
         assert!(!target.accepts_document(&dd.committed()));
     }

@@ -495,7 +495,7 @@ mod tests {
 
     /// Apply-then-revalidate oracle.
     fn oracle(target: &AbstractSchema, doc: &Doc, edits: &[Edit]) -> bool {
-        let mut dd = DeltaDoc::new(doc.clone());
+        let mut dd = DeltaDoc::new(doc);
         dd.apply_all(edits).expect("oracle apply");
         target.accepts_document(&dd.committed())
     }

@@ -46,7 +46,7 @@ use schemacast_automata::hot::state_flags;
 use schemacast_automata::{HotDfa, ProductIda, StateId};
 use schemacast_regex::{Alphabet, Sym};
 use schemacast_schema::{ComplexType, SimpleType, TypeDef, TypeId};
-use schemacast_xml::{PullEvent, PullParser, XmlError};
+use schemacast_xml::{is_ignorable_whitespace, PullEvent, PullParser, XmlError};
 use std::borrow::Cow;
 
 /// A streaming validator over a preprocessed [`CastContext`].
@@ -469,7 +469,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
 /// simple-value checks).
 fn check_value(simple: &SimpleType, text: &str, stats: &mut ValidationStats) -> bool {
     stats.value_checks += 1;
-    if all_xml_whitespace(text) {
+    if is_ignorable_whitespace(text) {
         simple.validate("")
     } else {
         simple.validate(text)
@@ -488,20 +488,8 @@ fn on_text<'t>(stack: &mut [Frame<'_, 't>], t: Cow<'t, str>) -> bool {
             }
             true
         }
-        Some(Frame::Complex { .. }) | None => all_xml_whitespace(&t),
+        Some(Frame::Complex { .. }) | None => is_ignorable_whitespace(&t),
     }
-}
-
-/// Whether `s` is all whitespace, with a byte-wise fast path for the four
-/// ASCII whitespace characters (the overwhelmingly common case between
-/// element tags). The first clause decides every ASCII string — it fails
-/// on any non-whitespace ASCII byte — and only strings containing
-/// non-ASCII bytes fall through to the full Unicode check, preserving the
-/// `char::is_whitespace` semantics the tree validators use.
-#[inline]
-fn all_xml_whitespace(s: &str) -> bool {
-    s.bytes().all(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        || (!s.is_ascii() && s.chars().all(char::is_whitespace))
 }
 
 enum Entered<'a, 't> {

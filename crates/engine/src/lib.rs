@@ -18,7 +18,9 @@
 //!   [`VerdictCache`], so a re-run after editing k of n files revalidates
 //!   exactly k documents (see [`corpus`] and [`cache`]).
 //! * **Edited documents** — [`BatchEngine::validate_edited`] stays in
-//!   memory, because an edit script addresses nodes of a parsed tree.
+//!   memory, because an edit script addresses nodes of a parsed tree. It
+//!   borrows each document: a script the static tiers leave undecided is
+//!   applied as a [`DeltaDoc`] overlay on it, never to a copy.
 //! * **Chain migrations** — [`ChainEngine::validate_migrations`] verifies
 //!   one migration script per item over a preprocessed schema-evolution
 //!   chain, with chain-level static skips/rejects folded into the totals.
@@ -130,9 +132,10 @@ impl<'c, 's> BatchEngine<'c, 's> {
     /// ([`CastContext::validate_edited_script`]): the edits on each touched
     /// site are composed into one net effect, normalized, and judged over
     /// the site's concrete child word (`script_skips`/`script_rejects`).
-    /// Everything else falls back to Δ-encoding the edits and running the
-    /// schema-cast-with-modifications validator; scripts that fail to
-    /// apply become [`ItemOutcome::EditFailed`] items.
+    /// Everything else falls back to Δ-encoding the edits as an overlay on
+    /// the borrowed document and running the schema-cast-with-modifications
+    /// validator; scripts that fail to apply become
+    /// [`ItemOutcome::EditFailed`] items.
     pub fn validate_edited<D>(&self, items: &[(D, Vec<Edit>)]) -> BatchReport
     where
         D: Borrow<Doc> + Sync,
@@ -148,7 +151,7 @@ impl<'c, 's> BatchEngine<'c, 's> {
             if let Some((outcome, stats)) = decided {
                 return ItemReport::new(ItemOutcome::from_cast(outcome), stats);
             }
-            let mut dd = DeltaDoc::new(doc.clone());
+            let mut dd = DeltaDoc::new(doc);
             if let Err(e) = dd.apply_all(edits) {
                 return ItemReport::new(ItemOutcome::EditFailed(e.to_string()), Default::default());
             }

@@ -61,10 +61,11 @@ fn note_batch(ab: &mut Alphabet, n: usize) -> Vec<(Doc, Vec<Edit>)> {
 }
 
 /// The dynamic path alone, as `validate_edited` runs it for scripts no
-/// static tier decides: apply the script to a copy, then run the
-/// schema-cast-with-modifications validator over the Δ-encoded result.
+/// static tier decides: apply the script as an overlay on the document,
+/// then run the schema-cast-with-modifications validator over the
+/// Δ-encoded result.
 fn dynamic_path(ctx: &CastContext<'_>, doc: &Doc, edits: &[Edit]) -> ItemOutcome {
-    let mut dd = DeltaDoc::new(doc.clone());
+    let mut dd = DeltaDoc::new(doc);
     if let Err(e) = dd.apply_all(edits) {
         return ItemOutcome::EditFailed(e.to_string());
     }
@@ -81,7 +82,7 @@ fn dynamic_path(ctx: &CastContext<'_>, doc: &Doc, edits: &[Edit]) -> ItemOutcome
 
 /// Ground truth: apply the script and fully validate against the target.
 fn oracle(target: &AbstractSchema, doc: &Doc, edits: &[Edit]) -> Option<bool> {
-    let mut dd = DeltaDoc::new(doc.clone());
+    let mut dd = DeltaDoc::new(doc);
     dd.apply_all(edits).ok()?;
     Some(target.accepts_document(&dd.committed()))
 }

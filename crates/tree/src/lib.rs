@@ -10,7 +10,8 @@
 //! * [`modtrie::ModTrie`] — the Dewey-number trie implementing the paper's
 //!   `modified(v)` oracle (§3.3), navigable in parallel with the tree.
 //! * [`edit`] — the update model (relabel / insert leaf / delete leaf /
-//!   set text) and the Δ-encoded [`edit::DeltaDoc`].
+//!   set text) and the Δ-encoded [`edit::DeltaDoc`], an overlay of edits
+//!   on a document it borrows or owns.
 
 pub mod edit;
 pub mod modtrie;

@@ -5,10 +5,13 @@
 //! from the `schemacast-xml` DOM handles whitespace policy: the paper's
 //! experiment documents are indented, and Xerces-style validators skip (but
 //! still *touch*) ignorable whitespace, which matters when reproducing the
-//! node-visit counts of Table 3.
+//! node-visit counts of Table 3. What counts as ignorable is
+//! [`schemacast_xml::is_ignorable_whitespace`], the streaming validator's
+//! rule too.
 
 use schemacast_regex::{Alphabet, Sym};
-use schemacast_xml::{XmlElement, XmlNode};
+use schemacast_xml::{is_ignorable_whitespace, XmlElement, XmlNode};
+use std::borrow::Cow;
 
 /// Index of a node within a [`Doc`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,7 +34,7 @@ pub enum NodeKind {
     Text(String),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Node {
     kind: NodeKind,
     parent: Option<NodeId>,
@@ -51,7 +54,7 @@ pub enum WhitespaceMode {
 }
 
 /// An ordered labeled tree over a shared [`Alphabet`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Doc {
     nodes: Vec<Node>,
     root: NodeId,
@@ -124,10 +127,11 @@ impl Doc {
         self.nodes[id.index()].children.is_empty()
     }
 
-    /// Whether the node is a whitespace-only text node.
+    /// Whether the node is a text node of ignorable whitespace
+    /// ([`is_ignorable_whitespace`]).
     pub fn is_ignorable_ws(&self, id: NodeId) -> bool {
         matches!(&self.nodes[id.index()].kind,
-                 NodeKind::Text(t) if t.chars().all(char::is_whitespace))
+                 NodeKind::Text(t) if is_ignorable_whitespace(t))
     }
 
     /// Children relevant for validation: elements and non-whitespace text.
@@ -284,31 +288,68 @@ impl Doc {
     }
 
     /// Imports an XML element tree, interning labels into `alphabet`.
+    /// Nodes are numbered in document order. Walks an explicit stack, so
+    /// depth never consumes call-stack frames.
     pub fn from_xml(root: &XmlElement, alphabet: &mut Alphabet, ws: WhitespaceMode) -> Doc {
         let mut doc = Doc::new(alphabet.intern(&root.name));
-        let doc_root = doc.root;
-        build_children(&mut doc, doc_root, root, alphabet, ws);
+        let trim = ws == WhitespaceMode::Trim;
+        let mut stack = vec![import_frame(doc.root, root, trim)];
+        while let Some((parent, rest, drop_whitespace)) = stack.last_mut() {
+            let parent = *parent;
+            match rest.next() {
+                Some(XmlNode::Element(e)) => {
+                    let id = doc.add_element(parent, alphabet.intern(&e.name));
+                    stack.push(import_frame(id, e, trim));
+                }
+                Some(XmlNode::Text(t)) => {
+                    if !(*drop_whitespace && is_ignorable_whitespace(t)) {
+                        doc.add_text(parent, t.clone());
+                    }
+                }
+                None => {
+                    stack.pop();
+                }
+            }
+        }
         doc
     }
 
     /// Exports back to the XML DOM, resolving labels through `alphabet`.
+    /// Walks an explicit stack, so depth never consumes call-stack frames.
     pub fn to_xml(&self, alphabet: &Alphabet) -> XmlElement {
-        self.to_xml_node(self.root, alphabet)
-    }
-
-    fn to_xml_node(&self, id: NodeId, alphabet: &Alphabet) -> XmlElement {
-        let label = self.label(id).expect("to_xml_node called on an element");
-        let mut e = XmlElement::new(alphabet.name(label));
-        for &c in self.children(id) {
-            match self.kind(c) {
-                NodeKind::Element(_) => {
-                    e.children
-                        .push(XmlNode::Element(self.to_xml_node(c, alphabet)));
-                }
-                NodeKind::Text(t) => e.children.push(XmlNode::Text(t.clone())),
+        let open = |id: NodeId, label: Sym| {
+            (
+                XmlElement::new(alphabet.name(label)),
+                self.children(id).iter(),
+            )
+        };
+        let root_label = self.label(self.root).expect("the root is an element");
+        let (mut element, mut rest) = open(self.root, root_label);
+        // The open ancestors of `element`, each with its children still to
+        // export.
+        let mut ancestors = Vec::new();
+        loop {
+            match rest.next() {
+                Some(&c) => match self.kind(c) {
+                    NodeKind::Element(label) => {
+                        let (child, child_rest) = open(c, *label);
+                        ancestors.push((
+                            std::mem::replace(&mut element, child),
+                            std::mem::replace(&mut rest, child_rest),
+                        ));
+                    }
+                    NodeKind::Text(t) => element.children.push(XmlNode::Text(t.clone())),
+                },
+                None => match ancestors.pop() {
+                    Some((parent, parent_rest)) => {
+                        let done = std::mem::replace(&mut element, parent);
+                        element.children.push(XmlNode::Element(done));
+                        rest = parent_rest;
+                    }
+                    None => return element,
+                },
             }
         }
-        e
     }
 }
 
@@ -332,31 +373,31 @@ impl Iterator for Preorder<'_> {
     }
 }
 
-fn build_children(
-    doc: &mut Doc,
-    parent: NodeId,
+/// A frame of [`Doc::from_xml`]'s stack, one per open element: its node,
+/// its XML children still to import, and whether whitespace-only text
+/// among them is dropped (under `trim`, when it sits between elements).
+fn import_frame(
+    id: NodeId,
     element: &XmlElement,
-    alphabet: &mut Alphabet,
-    ws: WhitespaceMode,
-) {
-    let has_element_children = element
-        .children
-        .iter()
-        .any(|c| matches!(c, XmlNode::Element(_)));
-    for child in &element.children {
-        match child {
-            XmlNode::Element(e) => {
-                let id = doc.add_element(parent, alphabet.intern(&e.name));
-                build_children(doc, id, e, alphabet, ws);
-            }
-            XmlNode::Text(t) => {
-                let ignorable = has_element_children && t.chars().all(char::is_whitespace);
-                if ignorable && ws == WhitespaceMode::Trim {
-                    continue;
-                }
-                doc.add_text(parent, t.clone());
-            }
-        }
+    trim: bool,
+) -> (NodeId, std::slice::Iter<'_, XmlNode>, bool) {
+    let drop_whitespace = trim
+        && element
+            .children
+            .iter()
+            .any(|c| matches!(c, XmlNode::Element(_)));
+    (id, element.children.iter(), drop_whitespace)
+}
+
+impl From<Doc> for Cow<'_, Doc> {
+    fn from(doc: Doc) -> Self {
+        Cow::Owned(doc)
+    }
+}
+
+impl<'d> From<&'d Doc> for Cow<'d, Doc> {
+    fn from(doc: &'d Doc) -> Self {
+        Cow::Borrowed(doc)
     }
 }
 

@@ -32,30 +32,29 @@ fn random_tree(seed: u64, n: usize) -> (Doc, Alphabet) {
 }
 
 /// Applies `k` random edits; returns the DeltaDoc.
-fn random_deltadoc(seed: u64, n: usize, k: usize) -> (DeltaDoc, Alphabet) {
+fn random_deltadoc(seed: u64, n: usize, k: usize) -> (DeltaDoc<'static>, Alphabet) {
     let (doc, mut ab) = random_tree(seed, n);
     let mut dd = DeltaDoc::new(doc);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xDEAD);
     let extra = ab.intern("new");
     for _ in 0..k {
         let all: Vec<NodeId> = dd
-            .doc()
             .preorder_iter()
             .filter(|&x| !matches!(dd.delta(x), DeltaState::Deleted))
             .collect();
         let node = all[rng.gen_range(0..all.len())];
         let edit = match rng.gen_range(0..4) {
-            0 if dd.doc().label(node).is_some() => Edit::Relabel { node, label: extra },
-            1 if dd.doc().text(node).is_some() => Edit::SetText {
+            0 if dd.label(node).is_some() => Edit::Relabel { node, label: extra },
+            1 if dd.text(node).is_some() => Edit::SetText {
                 node,
                 text: "x".into(),
             },
-            2 if dd.doc().parent(node).is_some() && dd.new_children(node).next().is_none() => {
+            2 if dd.parent(node).is_some() && dd.new_children(node).next().is_none() => {
                 Edit::DeleteLeaf { node }
             }
-            _ if dd.doc().label(node).is_some() => Edit::InsertElement {
+            _ if dd.label(node).is_some() => Edit::InsertElement {
                 parent: node,
-                position: rng.gen_range(0..=dd.doc().children(node).len()),
+                position: rng.gen_range(0..=dd.children(node).len()),
                 label: extra,
             },
             _ => continue,
@@ -70,21 +69,27 @@ fn naive_modified(dd: &DeltaDoc, node: NodeId) -> bool {
     if dd.delta(node) != DeltaState::Unchanged {
         return true;
     }
-    dd.doc()
-        .children(node)
-        .iter()
-        .any(|&c| naive_modified(dd, c))
+    dd.children(node).iter().any(|&c| naive_modified(dd, c))
+}
+
+/// The property's case count: `PROPTEST_CASES` when it is set (the CI
+/// fuzz job raises it), otherwise `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(default)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
 
     #[test]
     fn trie_matches_naive_modified(seed in 0u64..5_000, n in 2usize..30, k in 0usize..12) {
         let (dd, _ab) = random_deltadoc(seed, n, k);
         let mut dewey = Vec::new();
-        for node in dd.doc().preorder_iter() {
-            dd.doc().dewey_into(node, &mut dewey);
+        for node in dd.preorder_iter() {
+            dd.dewey_into(node, &mut dewey);
             let via_trie = dd.trie().subtree_modified(&dewey);
             let via_naive = naive_modified(&dd, node);
             prop_assert_eq!(
@@ -106,20 +111,19 @@ proptest! {
                 return 0;
             }
             1 + dd
-                .doc()
                 .children(node)
                 .iter()
                 .map(|&c| live_count(dd, c))
                 .sum::<usize>()
         }
-        prop_assert_eq!(committed.node_count(), live_count(&dd, dd.doc().root()));
+        prop_assert_eq!(committed.node_count(), live_count(&dd, dd.root()));
     }
 
     /// Proj_old reconstructs the original label multiset of unedited docs.
     #[test]
     fn no_edits_means_no_modifications(seed in 0u64..5_000, n in 2usize..25) {
         let (doc, _ab) = random_tree(seed, n);
-        let dd = DeltaDoc::new(doc.clone());
+        let dd = DeltaDoc::new(&doc);
         prop_assert!(!dd.any_modifications());
         let mut dewey = Vec::new();
         for node in doc.preorder_iter() {

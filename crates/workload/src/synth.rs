@@ -485,7 +485,7 @@ pub fn sample_simple_value(s: &SimpleType, rng: &mut impl Rng) -> Option<String>
 /// Applies `n` random edits to `dd`, preferring structure-preserving ones.
 /// Returns the number of edits that actually applied.
 pub fn random_edits(
-    dd: &mut DeltaDoc,
+    dd: &mut DeltaDoc<'_>,
     alphabet: &mut Alphabet,
     rng: &mut impl Rng,
     n: usize,
@@ -493,7 +493,6 @@ pub fn random_edits(
     let mut applied = 0;
     for _ in 0..n {
         let nodes: Vec<NodeId> = dd
-            .doc()
             .preorder_iter()
             .filter(|&id| !matches!(dd.delta(id), schemacast_tree::DeltaState::Deleted))
             .collect();
@@ -502,23 +501,23 @@ pub fn random_edits(
         }
         let node = nodes[rng.gen_range(0..nodes.len())];
         let edit = match rng.gen_range(0..4) {
-            0 if dd.doc().text(node).is_some() => Some(Edit::SetText {
+            0 if dd.text(node).is_some() => Some(Edit::SetText {
                 node,
                 text: rng.gen_range(0i64..300).to_string(),
             }),
-            1 if dd.doc().label(node).is_some() && dd.doc().parent(node).is_some() => {
+            1 if dd.label(node).is_some() && dd.parent(node).is_some() => {
                 // Relabel to an existing label (plausible evolution).
                 let target = alphabet.symbols().nth(rng.gen_range(0..alphabet.len()));
                 target.map(|label| Edit::Relabel { node, label })
             }
-            2 if dd.doc().parent(node).is_some() && dd.new_children(node).next().is_none() => {
+            2 if dd.parent(node).is_some() && dd.new_children(node).next().is_none() => {
                 Some(Edit::DeleteLeaf { node })
             }
-            _ if dd.doc().label(node).is_some() => {
+            _ if dd.label(node).is_some() => {
                 let label = alphabet.symbols().nth(rng.gen_range(0..alphabet.len()));
                 label.map(|label| Edit::InsertElement {
                     parent: node,
-                    position: rng.gen_range(0..=dd.doc().children(node).len()),
+                    position: rng.gen_range(0..=dd.children(node).len()),
                     label,
                 })
             }

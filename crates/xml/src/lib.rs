@@ -31,4 +31,5 @@ pub use index::StructuralIndex;
 pub use parser::{parse_document, XmlDocument, XmlElement, XmlNode};
 pub use pull::{PullEvent, PullParser, SubtreeSkip};
 pub use scalar::ScalarParser;
+pub use scan::is_ignorable_whitespace;
 pub use serialize::{escape_attr, escape_text, to_pretty_string, to_string};

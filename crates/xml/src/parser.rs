@@ -41,7 +41,8 @@ impl XmlElement {
     pub fn new(name: impl Into<String>) -> Self {
         XmlElement {
             name: name.into(),
-            ..Default::default()
+            attributes: Vec::new(),
+            children: Vec::new(),
         }
     }
 
@@ -70,6 +71,26 @@ impl XmlElement {
             }
         }
         out
+    }
+}
+
+impl Drop for XmlElement {
+    /// Drops the descendants through an explicit stack: the derived drop
+    /// would use one call-stack frame per nesting level, and a parsed
+    /// document is as deep as its input.
+    fn drop(&mut self) {
+        let mut stack = Vec::new();
+        let mut children = std::mem::take(&mut self.children);
+        loop {
+            stack.extend(children.into_iter().filter_map(|c| match c {
+                XmlNode::Element(e) => Some(e),
+                XmlNode::Text(_) => None,
+            }));
+            let Some(mut next) = stack.pop() else {
+                return;
+            };
+            children = std::mem::take(&mut next.children);
+        }
     }
 }
 

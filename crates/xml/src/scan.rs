@@ -88,6 +88,20 @@ pub fn all_ws(hay: &[u8], from: usize, to: usize) -> bool {
         .all(|&b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
 }
 
+/// Whether `text` is whitespace that validation ignores: text between
+/// element tags that is not character data, and a simple value read as
+/// the empty string. ASCII text qualifies when it holds only XML's four
+/// `S` characters (space, tab, CR, LF), decided byte-wise without UTF-8
+/// decoding; text with non-ASCII bytes when every character is Unicode
+/// whitespace (`char::is_whitespace`). The streaming validator, the tree
+/// import and the tree validators all decide through this one function.
+#[inline]
+pub fn is_ignorable_whitespace(text: &str) -> bool {
+    text.bytes()
+        .all(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+        || (!text.is_ascii() && text.chars().all(char::is_whitespace))
+}
+
 /// Position of the first `byte` at or after `from`, or `None`.
 #[inline]
 pub fn find_byte(hay: &[u8], from: usize, byte: u8) -> Option<usize> {

@@ -37,11 +37,11 @@ fn main() {
     report("no edits (pure cast)", &dd, &mods);
 
     // Edit 1: bump a quantity value deep inside the document.
-    let root = dd.doc().root();
-    let items = dd.doc().children(root)[2];
-    let item500 = dd.doc().children(items)[500];
-    let qty = dd.doc().children(item500)[1];
-    let qty_text = dd.doc().children(qty)[0];
+    let root = dd.root();
+    let items = dd.children(root)[2];
+    let item500 = dd.children(items)[500];
+    let qty = dd.children(item500)[1];
+    let qty_text = dd.children(qty)[0];
     dd.apply(&Edit::SetText {
         node: qty_text,
         text: "42".into(),
@@ -54,14 +54,14 @@ fn main() {
     let pn = session.alphabet.lookup("productName").unwrap();
     let q = session.alphabet.lookup("quantity").unwrap();
     let price = session.alphabet.lookup("USPrice").unwrap();
-    let pos = dd.doc().children(items).len();
+    let pos = dd.children(items).len();
     dd.apply(&Edit::InsertElement {
         parent: items,
         position: pos,
         label: item_l,
     })
     .unwrap();
-    let new_item = dd.doc().children(items)[pos];
+    let new_item = dd.children(items)[pos];
     for (i, (l, v)) in [(pn, "Trampoline"), (q, "3"), (price, "119.99")]
         .into_iter()
         .enumerate()
@@ -72,7 +72,7 @@ fn main() {
             label: l,
         })
         .unwrap();
-        let e = dd.doc().children(new_item)[i];
+        let e = dd.children(new_item)[i];
         dd.apply(&Edit::InsertText {
             parent: e,
             position: 0,
@@ -83,10 +83,10 @@ fn main() {
     report("after appending a new item subtree", &dd, &mods);
 
     // Edit 3: break it — delete the billTo address (the target requires it).
-    let bill = dd.doc().children(root)[1];
-    let bill_children: Vec<_> = dd.doc().children(bill).to_vec();
+    let bill = dd.children(root)[1];
+    let bill_children: Vec<_> = dd.children(bill).to_vec();
     for c in bill_children {
-        let texts: Vec<_> = dd.doc().children(c).to_vec();
+        let texts: Vec<_> = dd.children(c).to_vec();
         for t in texts {
             dd.apply(&Edit::DeleteLeaf { node: t }).unwrap();
         }

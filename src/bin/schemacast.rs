@@ -54,7 +54,9 @@
 use schemacast::analysis;
 use schemacast::core::certification_digest;
 use schemacast::core::certify::{certify_context, certify_context_with_scripts, CertificationRun};
-use schemacast::core::{certify_chain, CastContext, Repairer, SchemaChain, Severity};
+use schemacast::core::{
+    certify_chain, CastContext, FullValidator, Repairer, SchemaChain, Severity,
+};
 use schemacast::engine::{
     BatchEngine, BatchReport, CorpusOptions, CorpusSource, ItemOutcome, VerdictCache,
 };
@@ -666,7 +668,7 @@ fn main() -> ExitCode {
                     }
                 };
                 let ctx = CastContext::new(&source, &target, &session.alphabet);
-                if !source.accepts_document(&doc) {
+                if !FullValidator::new(&source).validate(&doc).is_valid() {
                     eprintln!(
                         "{}: document is not valid against {}",
                         opts.docs[2], opts.docs[0]

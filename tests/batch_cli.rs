@@ -113,15 +113,11 @@ fn positional_manifest_and_dir_batches_report_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every command streams, so a million-deep document costs O(depth)
-/// frames on the heap, not a million stack frames.
-#[test]
-fn million_deep_document_gets_a_verdict_from_every_command() {
-    const DEPTH: usize = 1_000_000;
-    let dir = fresh_temp_dir("deep-cli");
-    // `A = (a: A?, b: integer?)`; the target narrows `b` to
-    // nonNegativeInteger, so no type pair is subsumed and the cast walks
-    // every level.
+/// Writes the deep-nesting fixture into `dir`: `A = (a: A?, b: integer?)`
+/// as the source, the same with `b` narrowed to nonNegativeInteger as the
+/// target (so no type pair is subsumed and a cast walks every level), and
+/// a document nested `depth` deep. Returns (source, target, document).
+fn write_deep_fixture(dir: &Path, depth: usize) -> (PathBuf, PathBuf, PathBuf) {
     let schema = |b_type: &str| {
         format!(
             "<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\
@@ -137,9 +133,18 @@ fn million_deep_document_gets_a_verdict_from_every_command() {
     std::fs::write(&target, schema("nonNegativeInteger")).expect("write target");
     std::fs::write(
         &doc,
-        ["<a>".repeat(DEPTH), "<b>7</b>".into(), "</a>".repeat(DEPTH)].concat(),
+        ["<a>".repeat(depth), "<b>7</b>".into(), "</a>".repeat(depth)].concat(),
     )
     .expect("write document");
+    (source, target, doc)
+}
+
+/// Every command streams, so a million-deep document costs O(depth)
+/// frames on the heap, not a million stack frames.
+#[test]
+fn million_deep_document_gets_a_verdict_from_every_command() {
+    let dir = fresh_temp_dir("deep-cli");
+    let (source, target, doc) = write_deep_fixture(&dir, 1_000_000);
 
     let (src, tgt) = (utf8(&source), utf8(&target));
     for command in [
@@ -154,6 +159,36 @@ fn million_deep_document_gets_a_verdict_from_every_command() {
             summary.ends_with("valid 1 / invalid 0 / malformed 0 / read-failed 0"),
             "{summary}"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `analyze --script` addresses nodes of a parsed tree, so it builds one:
+/// the XML import, its export and the DOM's drop walk explicit stacks, and
+/// the source-validity precondition runs the iterative tree walk, so a
+/// million-deep document gets a script verdict rather than an abort.
+#[test]
+fn million_deep_document_gets_a_script_verdict() {
+    let dir = fresh_temp_dir("deep-script");
+    let (source, target, doc) = write_deep_fixture(&dir, 1_000_000);
+    for (script, code, verdict) in [
+        ("", 0, "verdict accepted"),
+        ("insert . 1 b\n", 1, "verdict rejected"),
+    ] {
+        let script_path = dir.join("script.txt");
+        std::fs::write(&script_path, script).expect("write script");
+        let out = schemacast(&[
+            "analyze",
+            utf8(&source),
+            utf8(&target),
+            utf8(&doc),
+            "--script",
+            utf8(&script_path),
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{script:?}: {stderr}");
+        assert!(stdout.contains(verdict), "{script:?}: {stdout}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -88,7 +88,7 @@ fn scripted_oracle(
         if breaking.is_some() {
             continue; // verify_script stops here; later batches are inert.
         }
-        let mut dd = DeltaDoc::new(current.clone());
+        let mut dd = DeltaDoc::new(&current);
         match dd.apply_all(&edits) {
             Err(_) => breaking = Some((i, true)),
             Ok(()) => {

@@ -51,7 +51,7 @@ fn po_doc(ab: &mut Alphabet, with_bill: bool) -> Doc {
 /// ground truth every static verdict must agree with. `None` when the
 /// script is not applicable to the document.
 fn oracle(target: &AbstractSchema, doc: &Doc, edits: &[Edit]) -> Option<bool> {
-    let mut dd = DeltaDoc::new(doc.clone());
+    let mut dd = DeltaDoc::new(doc);
     dd.apply_all(edits).ok()?;
     Some(target.accepts_document(&dd.committed()))
 }

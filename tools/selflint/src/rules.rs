@@ -9,12 +9,12 @@
 //! | id     | name               | invariant |
 //! |--------|--------------------|-----------|
 //! | SL0001 | panic-ratchet      | unwrap/expect in library code may only shrink |
-//! | SL0002 | hot-path-collections | no `HashMap`/`HashSet` in streaming hot-path modules (validator, lexer, label table) or the relation-fixpoint kernels |
+//! | SL0002 | hot-path-collections | no `HashMap`/`HashSet` in streaming hot-path modules (validator, lexer, label table), the relation-fixpoint kernels, or the §3.3 edit overlay and its validator |
 //! | SL0003 | unsafe-gate        | every crate root carries `#![deny(unsafe_code)]` |
 //! | SL0004 | std-sync-ban       | shim-migrated crates use `loomlite::{sync,thread}`, never `std::{sync,thread}` |
 //! | SL0005 | ordering-justify   | every non-SeqCst atomic ordering carries a nearby `// ordering:` comment |
 //! | SL0006 | guard-across-io    | no lock guard held across file I/O |
-//! | SL0007 | walker-recursion   | no function in the tree walkers or the XML lexers calls itself |
+//! | SL0007 | walker-recursion   | no function in the tree walkers, the XML import and export of trees, or the XML lexers calls itself |
 //! | SL0008 | tape-off-validation-path | `core` and `engine` library code never names `StructuralIndex` |
 //! | SL0009 | no-shared-writes-per-element | the `core` validator walkers never name `Mutex`, `RwLock` or `Arc` |
 
@@ -27,7 +27,9 @@ use std::collections::BTreeMap;
 /// table that resolves its start tags (`labels.rs`) exist to avoid, and
 /// the per-type-pair walks of the `R_sub`/`R_nondis` fixpoints
 /// (`checks.rs`, `relations.rs`) keep their visited sets and indexes dense
-/// for the same reason.
+/// for the same reason. The §3.3 loop (`mods.rs`) asks the Δ overlay
+/// (`edit.rs`) about each child several times, so the overlay answers
+/// from a flat array indexed by node id.
 const HOT_PATH_FILES: &[&str] = &[
     "stream.rs",
     "pull.rs",
@@ -36,6 +38,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "index.rs",
     "checks.rs",
     "relations.rs",
+    "edit.rs",
+    "mods.rs",
 ];
 
 /// The hashed collections SL0002 bans from [`HOT_PATH_FILES`].
@@ -59,9 +63,10 @@ const WEAK_ORDERINGS: &[&str] = &[
 /// justification may sit.
 const ORDERING_COMMENT_WINDOW: usize = 6;
 
-/// The tree walkers, edit structures and XML lexers SL0007 holds to
-/// explicit stacks and loops: a function here that calls itself recurses
-/// once per document level, or once per comment in a run of them.
+/// The tree walkers, the XML import and export of trees, edit structures
+/// and XML lexers SL0007 holds to explicit stacks and loops: a function
+/// here that calls itself recurses once per document level, or once per
+/// comment in a run of them.
 const WALKER_FILES: &[&str] = &[
     "crates/core/src/cast.rs",
     "crates/core/src/full.rs",
@@ -71,6 +76,7 @@ const WALKER_FILES: &[&str] = &[
     "crates/core/src/stream.rs",
     "crates/tree/src/modtrie.rs",
     "crates/tree/src/edit.rs",
+    "crates/tree/src/tree.rs",
     "crates/xml/src/pull.rs",
     "crates/xml/src/scalar.rs",
 ];
@@ -677,6 +683,8 @@ mod tests {
             "crates/core/src/labels.rs",
             "crates/automata/src/checks.rs",
             "crates/core/src/relations.rs",
+            "crates/tree/src/edit.rs",
+            "crates/core/src/mods.rs",
         ] {
             for collection in ["HashMap", "HashSet"] {
                 let hot = lex(
